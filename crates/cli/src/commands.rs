@@ -1,11 +1,9 @@
 //! The CLI subcommand implementations.
 
-use crate::{
-    background_of, class_of, engine_of, pair_of, scheduler_of, seed_of, shards_of, threads_of,
-};
+use crate::{background_of, class_of, engine_of, pair_of, seed_of, shards_of, threads_of};
 use std::collections::HashMap;
 use turb_media::PlayerId;
-use turb_netsim::{EngineKind, FluidDiag, SchedulerKind, ShardDiag, ShardKind};
+use turb_netsim::{EngineKind, FluidDiag, ShardDiag, ShardKind};
 use turb_obs::ScopeTimer;
 use turbulence::{figures, report, runner, tables, PairRunConfig};
 
@@ -28,7 +26,6 @@ pub fn corpus(flags: &Flags) -> Result<(), String> {
     let seed = seed_of(flags)?;
     let threads = threads_of(flags)?;
     let telemetry = flags.contains_key("telemetry");
-    let scheduler = scheduler_of(flags)?;
     let shards = shards_of(flags)?;
     let mut configs = match flags.get("sets") {
         None => runner::corpus_configs(seed),
@@ -45,7 +42,6 @@ pub fn corpus(flags: &Flags) -> Result<(), String> {
     let progress = flags.contains_key("progress");
     for config in &mut configs {
         config.telemetry = telemetry;
-        config.scheduler = scheduler;
         config.shards = shards;
         config.engine = engine;
         config.background_flows = background;
@@ -153,7 +149,7 @@ pub fn corpus(flags: &Flags) -> Result<(), String> {
 pub fn pair(flags: &Flags) -> Result<(), String> {
     let seed = seed_of(flags)?;
     let (set, pair) = pair_of(flags)?;
-    let mut config = PairRunConfig::new(seed, set, pair).with_scheduler(scheduler_of(flags)?);
+    let mut config = PairRunConfig::new(seed, set, pair);
     if let Some(loss) = loss_of(flags)? {
         config.access_loss = loss;
     }
@@ -219,9 +215,7 @@ pub fn pair(flags: &Flags) -> Result<(), String> {
 pub fn obs(flags: &Flags) -> Result<(), String> {
     let seed = seed_of(flags)?;
     let (set, pair) = pair_of(flags)?;
-    let mut config = PairRunConfig::new(seed, set, pair)
-        .with_telemetry()
-        .with_scheduler(scheduler_of(flags)?);
+    let mut config = PairRunConfig::new(seed, set, pair).with_telemetry();
     if let Some(loss) = loss_of(flags)? {
         config.access_loss = loss;
     }
@@ -242,13 +236,11 @@ pub fn obs(flags: &Flags) -> Result<(), String> {
         println!("per-class session QoE (rollups):");
         print!("{}", sessions.summary_table());
     }
+    // All zero when the event queue never outgrew its binary heap.
     let sched = telemetry.sched;
     println!(
-        "  scheduler       {:>12} ({} slots touched / {} cascades / {} overflow entries)",
-        telemetry.scheduler.name(),
-        sched.slots_touched,
-        sched.cascades,
-        sched.overflow_events,
+        "  scheduler       {} slots touched / {} cascades / {} overflow entries",
+        sched.slots_touched, sched.cascades, sched.overflow_events,
     );
     if let Some(diag) = &telemetry.shards {
         print!("{}", render_shard_diag(diag));
@@ -270,13 +262,11 @@ pub fn obs(flags: &Flags) -> Result<(), String> {
 /// `turbulence figures`: full data rows per figure.
 pub fn figures_cmd(flags: &Flags) -> Result<(), String> {
     let seed = seed_of(flags)?;
-    let scheduler = scheduler_of(flags)?;
     let shards = shards_of(flags)?;
     let engine = engine_of(flags)?;
     let background = background_of(flags)?;
     let mut configs = runner::corpus_configs(seed);
     for config in &mut configs {
-        config.scheduler = scheduler;
         config.shards = shards;
         config.engine = engine;
         config.background_flows = background;
@@ -876,16 +866,15 @@ fn json_u64(json: &str, key: &str) -> Option<u64> {
 }
 
 /// `turbulence bench`: time the corpus sequentially and with the
-/// worker pool, re-run it on the other event-queue engine, verify all
-/// three produce identical figures, and write a machine-readable JSON
-/// summary (CI uploads it as an artifact). When the output file
+/// worker pool, verify both produce identical figures, time the
+/// watch/scale/fluid/fleet/sessions phases, and write a
+/// machine-readable JSON summary (CI uploads it as an artifact). When the output file
 /// already exists — the committed baseline — the speedup against it is
 /// printed before it is overwritten.
 pub fn bench(flags: &Flags) -> Result<(), String> {
     let seed = seed_of(flags)?;
     let threads_requested = threads_of(flags)?;
     let quick = flags.contains_key("quick");
-    let scheduler = scheduler_of(flags)?;
     let out = flags
         .get("out")
         .cloned()
@@ -916,18 +905,19 @@ pub fn bench(flags: &Flags) -> Result<(), String> {
     }
 
     let timer = ScopeTimer::start("bench_configs", "bench");
-    let mut configs = if quick {
+    let configs = if quick {
         // CI time budget: the two shortest data sets only.
         runner::corpus_configs_for_sets(seed, &[1, 2])
     } else {
         runner::corpus_configs(seed)
     };
-    for config in &mut configs {
-        config.scheduler = scheduler;
-    }
     // `0` = auto; report the resolved width, not the request, so the
     // JSON says what actually ran.
-    let threads = turbulence::parallel::effective_threads(threads_requested, configs.len());
+    let threads = turbulence::parallel::effective_threads(
+        threads_requested,
+        configs.len(),
+        turbulence::parallel::available_threads(),
+    );
     let configs_ns = timer.elapsed_ns();
 
     let timer = ScopeTimer::start("bench_sequential", "bench");
@@ -938,24 +928,9 @@ pub fn bench(flags: &Flags) -> Result<(), String> {
     let parallel = runner::run_configs_parallel(&configs, threads);
     let parallel_ns = timer.elapsed_ns();
 
-    // The same corpus on the other engine: the wheel-vs-heap A/B that
-    // the scheduler swap is judged by.
-    let other = match scheduler {
-        SchedulerKind::Wheel => SchedulerKind::Heap,
-        SchedulerKind::Heap => SchedulerKind::Wheel,
-    };
-    let mut alt_configs = configs.clone();
-    for config in &mut alt_configs {
-        config.scheduler = other;
-    }
-    let timer = ScopeTimer::start("bench_alternate", "bench");
-    let alternate = runner::run_configs(&alt_configs);
-    let alternate_ns = timer.elapsed_ns();
-
     let timer = ScopeTimer::start("bench_figures", "bench");
     let digest = figures::digest(&sequential);
     let identical = digest == figures::digest(&parallel);
-    let schedulers_identical = digest == figures::digest(&alternate);
     let figures_ns = timer.elapsed_ns();
 
     // Watch phase: one pair run with the windowed time-series recorder
@@ -1119,7 +1094,6 @@ pub fn bench(flags: &Flags) -> Result<(), String> {
     let sessions_ns = timer.elapsed_ns();
 
     let speedup = sequential_ns as f64 / parallel_ns.max(1) as f64;
-    let scheduler_speedup = alternate_ns as f64 / sequential_ns.max(1) as f64;
     // Present only when a previous file existed to compare against.
     let baseline_fields = baseline
         .map(|base_ns| {
@@ -1129,12 +1103,10 @@ pub fn bench(flags: &Flags) -> Result<(), String> {
             )
         })
         .unwrap_or_default();
-    // Hand-rolled JSON: every value is a number, bool, or one of two
-    // fixed scheduler names, nothing needs escaping, and the workspace
-    // deliberately carries no serde.
+    // Hand-rolled JSON: every value is a number or bool, nothing needs
+    // escaping, and the workspace deliberately carries no serde.
     let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"threads\": {threads},\n  \"quick\": {quick},\n  \"scheduler\": \"{}\",\n  \"pair_runs\": {},\n  \"identical\": {identical},\n  \"schedulers_identical\": {schedulers_identical},\n  \"speedup\": {speedup:.3},\n  \"scheduler_speedup\": {scheduler_speedup:.3},{baseline_fields}\n  \"watch\": {{\n    \"series\": {watch_series_count},\n    \"windows\": {watch_windows},\n    \"memory_bytes\": {watch_memory_bytes}\n  }},\n  \"scale\": {{\n    \"events\": {},\n    \"shards\": {scale_shards},\n    \"cpus\": {cpus},\n    \"scale_sequential_ns\": {},\n    \"scale_sharded_ns\": {},\n    \"shard_speedup\": {shard_speedup:.3},\n    \"shards_identical\": {shards_identical},\n    \"exchange_reallocs\": {}\n  }},\n  \"fluid\": {{\n    \"background_flows\": {background_flows},\n    \"packet_engine_ns\": {},\n    \"hybrid_engine_ns\": {},\n    \"hybrid_speedup\": {hybrid_speedup:.3},\n    \"background_datagrams\": {},\n    \"solver_recomputes\": {},\n    \"updates_applied\": {}\n  }},\n  \"fleet\": {{\n    \"sessions\": {fleet_sessions},\n    \"events\": {},\n    \"events_per_sec\": {fleet_events_per_sec},\n    \"fleet_sequential_ns\": {},\n    \"fleet_sharded_ns\": {},\n    \"fleet_identical\": {fleet_identical},\n    \"peak_rss_bytes\": {fleet_rss},\n    \"rss_growth_bytes\": {fleet_rss_growth},\n    \"per_session_heap_bytes\": {fleet_heap_per_session}\n  }},\n  \"sessions\": {{\n    \"rollups_ns\": {},\n    \"overhead\": {sessions_overhead:.3},\n    \"identical\": {sessions_identical},\n    \"sample_permille\": {},\n    \"session_memory_bytes\": {session_memory_bytes},\n    \"memory_bytes_per_session\": {session_memory_per},\n    \"lineage_dropped\": {sessions_lineage_dropped}\n  }},\n  \"phases_ns\": {{\n    \"configs\": {configs_ns},\n    \"sequential\": {sequential_ns},\n    \"parallel\": {parallel_ns},\n    \"alternate\": {alternate_ns},\n    \"figures\": {figures_ns},\n    \"watch\": {watch_ns},\n    \"scale\": {scale_ns},\n    \"fluid\": {fluid_ns},\n    \"fleet\": {fleet_ns},\n    \"sessions\": {sessions_ns}\n  }}\n}}\n",
-        scheduler.name(),
+        "{{\n  \"seed\": {seed},\n  \"threads\": {threads},\n  \"quick\": {quick},\n  \"pair_runs\": {},\n  \"identical\": {identical},\n  \"speedup\": {speedup:.3},{baseline_fields}\n  \"watch\": {{\n    \"series\": {watch_series_count},\n    \"windows\": {watch_windows},\n    \"memory_bytes\": {watch_memory_bytes}\n  }},\n  \"scale\": {{\n    \"events\": {},\n    \"shards\": {scale_shards},\n    \"cpus\": {cpus},\n    \"scale_sequential_ns\": {},\n    \"scale_sharded_ns\": {},\n    \"shard_speedup\": {shard_speedup:.3},\n    \"shards_identical\": {shards_identical},\n    \"exchange_reallocs\": {}\n  }},\n  \"fluid\": {{\n    \"background_flows\": {background_flows},\n    \"packet_engine_ns\": {},\n    \"hybrid_engine_ns\": {},\n    \"hybrid_speedup\": {hybrid_speedup:.3},\n    \"background_datagrams\": {},\n    \"solver_recomputes\": {},\n    \"updates_applied\": {}\n  }},\n  \"fleet\": {{\n    \"sessions\": {fleet_sessions},\n    \"events\": {},\n    \"events_per_sec\": {fleet_events_per_sec},\n    \"fleet_sequential_ns\": {},\n    \"fleet_sharded_ns\": {},\n    \"fleet_identical\": {fleet_identical},\n    \"peak_rss_bytes\": {fleet_rss},\n    \"rss_growth_bytes\": {fleet_rss_growth},\n    \"per_session_heap_bytes\": {fleet_heap_per_session}\n  }},\n  \"sessions\": {{\n    \"rollups_ns\": {},\n    \"overhead\": {sessions_overhead:.3},\n    \"identical\": {sessions_identical},\n    \"sample_permille\": {},\n    \"session_memory_bytes\": {session_memory_bytes},\n    \"memory_bytes_per_session\": {session_memory_per},\n    \"lineage_dropped\": {sessions_lineage_dropped}\n  }},\n  \"phases_ns\": {{\n    \"configs\": {configs_ns},\n    \"sequential\": {sequential_ns},\n    \"parallel\": {parallel_ns},\n    \"figures\": {figures_ns},\n    \"watch\": {watch_ns},\n    \"scale\": {scale_ns},\n    \"fluid\": {fluid_ns},\n    \"fleet\": {fleet_ns},\n    \"sessions\": {sessions_ns}\n  }}\n}}\n",
         configs.len(),
         scale_seq.events_processed,
         scale_seq.wall_ns,
@@ -1163,8 +1135,7 @@ pub fn bench(flags: &Flags) -> Result<(), String> {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let point = format!(
-        "{{\"unix_secs\": {stamp}, \"seed\": {seed}, \"threads\": {threads}, \"quick\": {quick}, \"scheduler\": \"{}\", \"pair_runs\": {}, \"sequential_ns\": {sequential_ns}, \"parallel_ns\": {parallel_ns}, \"speedup\": {speedup:.3}, \"identical\": {identical}, \"watch_windows\": {watch_windows}, \"watch_memory_bytes\": {watch_memory_bytes}, \"cpus\": {cpus}, \"scale_sequential_ns\": {}, \"scale_sharded_ns\": {}, \"shard_speedup\": {shard_speedup:.3}, \"shards_identical\": {shards_identical}, \"background_flows\": {background_flows}, \"hybrid_speedup\": {hybrid_speedup:.3}, \"fleet_sessions\": {fleet_sessions}, \"fleet_ns\": {}, \"fleet_events_per_sec\": {fleet_events_per_sec}, \"fleet_identical\": {fleet_identical}, \"fleet_peak_rss_bytes\": {fleet_rss}, \"sessions_overhead\": {sessions_overhead:.3}, \"sessions_identical\": {sessions_identical}, \"session_memory_bytes\": {session_memory_bytes}}}\n",
-        scheduler.name(),
+        "{{\"unix_secs\": {stamp}, \"seed\": {seed}, \"threads\": {threads}, \"quick\": {quick}, \"pair_runs\": {}, \"sequential_ns\": {sequential_ns}, \"parallel_ns\": {parallel_ns}, \"speedup\": {speedup:.3}, \"identical\": {identical}, \"watch_windows\": {watch_windows}, \"watch_memory_bytes\": {watch_memory_bytes}, \"cpus\": {cpus}, \"scale_sequential_ns\": {}, \"scale_sharded_ns\": {}, \"shard_speedup\": {shard_speedup:.3}, \"shards_identical\": {shards_identical}, \"background_flows\": {background_flows}, \"hybrid_speedup\": {hybrid_speedup:.3}, \"fleet_sessions\": {fleet_sessions}, \"fleet_ns\": {}, \"fleet_events_per_sec\": {fleet_events_per_sec}, \"fleet_identical\": {fleet_identical}, \"fleet_peak_rss_bytes\": {fleet_rss}, \"sessions_overhead\": {sessions_overhead:.3}, \"sessions_identical\": {sessions_identical}, \"session_memory_bytes\": {session_memory_bytes}}}\n",
         configs.len(),
         scale_seq.wall_ns,
         scale_shd.wall_ns,
@@ -1184,14 +1155,6 @@ pub fn bench(flags: &Flags) -> Result<(), String> {
         configs.len(),
         sequential_ns as f64 / 1e9,
         parallel_ns as f64 / 1e9,
-    );
-    println!(
-        "bench: {} {:.2}s vs {} {:.2}s | {} speedup {scheduler_speedup:.2}x | identical {schedulers_identical}",
-        scheduler.name(),
-        sequential_ns as f64 / 1e9,
-        other.name(),
-        alternate_ns as f64 / 1e9,
-        scheduler.name(),
     );
     if let Some(base_ns) = baseline {
         println!(
@@ -1268,13 +1231,6 @@ pub fn bench(flags: &Flags) -> Result<(), String> {
     }
     if !identical {
         return Err("parallel corpus output diverged from sequential".to_string());
-    }
-    if !schedulers_identical {
-        return Err(format!(
-            "{} corpus output diverged from {}",
-            other.name(),
-            scheduler.name()
-        ));
     }
     if !shards_identical {
         return Err("sharded scale run diverged from sequential".to_string());
@@ -1536,7 +1492,6 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
     use turb_stats::Cdf;
 
     let seed = seed_of(flags)?;
-    let scheduler = scheduler_of(flags)?;
     let top: usize = match flags.get("top") {
         None => 10,
         Some(raw) => raw.parse().map_err(|_| format!("bad --top {raw:?}"))?,
@@ -1555,7 +1510,6 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
     for config in &mut configs {
         config.telemetry = true;
         config.lineage = true;
-        config.scheduler = scheduler;
         if let Some(loss) = loss {
             config.access_loss = loss;
         }
@@ -1808,7 +1762,6 @@ pub fn watch(flags: &Flags) -> Result<(), String> {
     use turb_obs::timeseries::SeriesKind;
 
     let seed = seed_of(flags)?;
-    let scheduler = scheduler_of(flags)?;
     let threads = threads_of(flags)?;
     let corpus_mode = flags.contains_key("corpus");
     let loss = loss_of(flags)?;
@@ -1859,7 +1812,6 @@ pub fn watch(flags: &Flags) -> Result<(), String> {
         config.telemetry = true;
         config.timeseries = true;
         config.ts_window_ns = window_ns;
-        config.scheduler = scheduler;
         config.shards = shards;
         config.engine = engine;
         config.background_flows = background;

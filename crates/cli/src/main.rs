@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! turbulence corpus     [--seed N] [--sets 1,2,5]     full corpus + figure digests
-//!                       [--threads N] [--scheduler S] [--shards N]
+//!                       [--threads N] [--shards N]
 //! turbulence pair       --set N --class low|high|vh   one pair run, summarised
 //!                       [--seed N] [--pcap FILE] [--loss P] [--telemetry]
 //! turbulence obs        --set N [--class C] [--seed N] [--loss P]
@@ -10,8 +10,7 @@
 //! turbulence figures    [--seed N] [--threads N]      every figure's data rows
 //! turbulence bench      [--seed N] [--threads N]      corpus wall-clock benchmark,
 //!                       [--quick] [--out FILE]        machine-readable JSON output,
-//!                       [--scheduler S] [--gate]      wheel-vs-heap A/B comparison,
-//!                       [--baseline FILE]             25% regression gate + perf
+//!                       [--gate] [--baseline FILE]    25% regression gate + perf
 //!                       [--trajectory FILE]           trajectory log
 //! turbulence flowgen    --set N --class C --player real|wmp
 //!                       [--seed N] [--out FILE]       fit, generate, validate, export
@@ -23,7 +22,7 @@
 //! turbulence timeline   --set N [--class C] | --corpus
 //!                       [--seed N] [--loss P] [--top K] per-packet lifecycle analysis:
 //!                       [--perfetto FILE]             slowest packets, stage CDFs,
-//!                       [--scheduler S]               drop post-mortem, trace export
+//!                                                     drop post-mortem, trace export
 //! turbulence watch      --set N [--class C] | --corpus
 //!                       [--seed N] [--loss P]         per-window tables + sparklines:
 //!                       [--window SECS] [--metrics M,M] bandwidth, loss by cause,
@@ -49,7 +48,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 use turb_media::{corpus, RateClass};
-use turb_netsim::{EngineKind, SchedulerKind, ShardKind};
+use turb_netsim::{EngineKind, ShardKind};
 
 mod commands;
 
@@ -102,8 +101,6 @@ OPTIONS (per command):
                         thread per domain (default: sequential; results are
                         byte-identical at every N; N may not exceed the
                         scenario's node count)
-    --scheduler S       corpus/pair/obs/figures/bench: event-queue engine,
-                        wheel | heap (default wheel; results are identical)
     --metrics           obs: also print Prometheus-style metrics exposition
     --trace FILE        obs: dump the flight recorder as JSON Lines
     --quick             bench: sets 1-2 only, for CI time budgets
@@ -266,16 +263,6 @@ fn shards_of(flags: &HashMap<String, String>) -> Result<ShardKind, String> {
             }
             Ok(ShardKind::Sharded(n))
         }
-    }
-}
-
-/// `--scheduler wheel|heap`: the event-queue engine. The timing wheel
-/// is the default; the heap is kept for A/B runs and equivalence tests.
-fn scheduler_of(flags: &HashMap<String, String>) -> Result<SchedulerKind, String> {
-    match flags.get("scheduler").map(String::as_str) {
-        None | Some("wheel") => Ok(SchedulerKind::Wheel),
-        Some("heap") => Ok(SchedulerKind::Heap),
-        Some(other) => Err(format!("unknown scheduler {other:?} (wheel|heap)")),
     }
 }
 
@@ -442,20 +429,6 @@ mod tests {
             pair_of(&flags(&[("set", "1"), ("class", "vh")])).is_err(),
             "set 1 has no very-high pair"
         );
-    }
-
-    #[test]
-    fn scheduler_parses_both_engines_and_defaults_to_wheel() {
-        assert_eq!(scheduler_of(&flags(&[])).unwrap(), SchedulerKind::Wheel);
-        assert_eq!(
-            scheduler_of(&flags(&[("scheduler", "wheel")])).unwrap(),
-            SchedulerKind::Wheel
-        );
-        assert_eq!(
-            scheduler_of(&flags(&[("scheduler", "heap")])).unwrap(),
-            SchedulerKind::Heap
-        );
-        assert!(scheduler_of(&flags(&[("scheduler", "btree")])).is_err());
     }
 
     #[test]

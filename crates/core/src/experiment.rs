@@ -11,8 +11,8 @@ use turb_capture::{Capture, Sniffer};
 use turb_media::{ClipPair, RateClass};
 use turb_netsim::tools::{self, PingReport, TracertReport};
 use turb_netsim::{
-    EngineKind, InternetScenario, ScenarioConfig, SchedulerKind, ShardKind, SimDuration, SimRng,
-    SimTime, Simulation,
+    EngineKind, InternetScenario, ScenarioConfig, ShardKind, SimDuration, SimRng, SimTime,
+    Simulation,
 };
 use turb_obs::ScopeTimer;
 use turb_players::calibration::{REAL_SERVER_PORT, WMP_SERVER_PORT};
@@ -47,11 +47,6 @@ pub struct PairRunConfig {
     /// and never draws randomness, so results are bit-identical either
     /// way.
     pub telemetry: bool,
-    /// Event-queue engine. The timing wheel is the default; the heap
-    /// is kept for `--scheduler heap` A/B runs, and
-    /// `tests/scheduler_equivalence.rs` proves both produce
-    /// byte-identical results.
-    pub scheduler: SchedulerKind,
     /// Record per-packet lineage spans (stage-transition events from
     /// packetisation to playout). Like telemetry, recording reads the
     /// simulation without perturbing it, so results are bit-identical
@@ -104,7 +99,6 @@ impl PairRunConfig {
             ping_count: 4,
             access_loss: 0.0,
             telemetry: false,
-            scheduler: SchedulerKind::default(),
             lineage: false,
             sessions: false,
             timeseries: false,
@@ -135,12 +129,6 @@ impl PairRunConfig {
     pub fn with_sessions(mut self) -> PairRunConfig {
         self.sessions = true;
         self.telemetry = true;
-        self
-    }
-
-    /// Same config with an explicit event-queue engine.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> PairRunConfig {
-        self.scheduler = scheduler;
         self
     }
 
@@ -246,7 +234,7 @@ pub fn run_pair(config: &PairRunConfig) -> PairRunResult {
         config.seed
     );
     let timer = ScopeTimer::start("pair_run_wall_ns", &label);
-    let mut sim = Simulation::with_scheduler(config.seed, config.scheduler);
+    let mut sim = Simulation::new(config.seed);
     if config.telemetry {
         sim.enable_telemetry();
     }
@@ -527,7 +515,7 @@ mod tests {
         );
         let (p, h) = (packet.telemetry.unwrap(), hybrid.telemetry.unwrap());
         // Counters (never wall-clock histograms) and traces match byte
-        // for byte, same discipline as the shard/scheduler identity
+        // for byte, same discipline as the shard/fluid identity
         // tests.
         let counters = |t: &RunTelemetry| {
             t.metrics

@@ -36,18 +36,15 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolve a requested thread count to what `jobs` jobs can use.
-/// `0` means *auto*: all the parallelism the host reports, capped at
-/// the job count. An explicit request is honoured up to the job count
-/// — there is never a reason to spawn more workers than jobs; the
-/// surplus would sit idle on the counter.
-pub fn effective_threads(requested: usize, jobs: usize) -> usize {
-    let requested = if requested == 0 {
-        available_threads()
-    } else {
-        requested
-    };
-    requested.min(jobs.max(1))
+/// Resolve a requested thread count to what `jobs` jobs can use on a
+/// host `host` threads wide (callers pass [`available_threads`]).
+/// `0` means *auto*: the host's width, capped at the job count. An
+/// explicit request is honoured up to the job count — there is never
+/// a reason to spawn more workers than jobs; the surplus would sit
+/// idle on the counter.
+pub fn effective_threads(requested: usize, jobs: usize, host: usize) -> usize {
+    let requested = if requested == 0 { host } else { requested };
+    requested.min(jobs).max(1)
 }
 
 /// Apply `f` to every item, using up to `threads` worker threads, and
@@ -64,7 +61,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = effective_threads(threads, items.len());
+    let threads = effective_threads(threads, items.len(), available_threads());
     if threads <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
@@ -169,17 +166,22 @@ mod tests {
     #[test]
     fn effective_threads_resolves_auto_and_caps_at_jobs() {
         // 0 = auto: everything the host offers, capped at the jobs.
+        assert_eq!(effective_threads(0, 13, 1), 1);
         assert_eq!(
-            effective_threads(0, 13),
-            available_threads().min(13),
+            effective_threads(0, 13, 8),
+            8,
             "auto must use the host's parallelism, not serialize"
         );
-        assert_eq!(effective_threads(0, 1), 1);
-        assert_eq!(effective_threads(1, 13), 1);
-        assert_eq!(effective_threads(4, 13), 4);
-        assert_eq!(effective_threads(64, 13), 13);
-        assert_eq!(effective_threads(4, 0), 1);
-        assert_eq!(effective_threads(0, 0), 1);
+        assert_eq!(effective_threads(0, 13, 64), 13);
+        assert_eq!(effective_threads(0, 1, 8), 1);
+        // An explicit request ignores the host width.
+        assert_eq!(effective_threads(1, 13, 8), 1);
+        assert_eq!(effective_threads(4, 13, 1), 4);
+        assert_eq!(effective_threads(64, 13, 8), 13);
+        // Never fewer than one worker, even with nothing to do.
+        assert_eq!(effective_threads(4, 0, 8), 1);
+        assert_eq!(effective_threads(0, 0, 8), 1);
+        assert_eq!(effective_threads(0, 13, 0), 1);
     }
 
     #[test]

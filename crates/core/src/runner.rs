@@ -129,19 +129,22 @@ pub fn corpus_configs_for_sets(base_seed: u64, sets: &[u8]) -> Vec<PairRunConfig
 /// Run the full corpus with up to `threads` workers. Each simulation
 /// is seeded independently and results merge back in canonical Table-1
 /// order, so the result is byte-identical to [`run_corpus`] —
-/// parallelism only changes wall-clock time. `threads == 0` (and `1`)
-/// degrades to the sequential path.
+/// parallelism only changes wall-clock time. `threads == 1` takes the
+/// sequential path; `0` means the host's width (see
+/// [`parallel::effective_threads`]).
 pub fn run_corpus_parallel(base_seed: u64, threads: usize) -> CorpusResult {
     run_configs_parallel(&corpus_configs(base_seed), threads)
 }
 
 /// Run an arbitrary set of pair configurations with up to `threads`
-/// workers; ordering and results match [`run_configs`]. Thread counts
-/// of 0/1 and single-config corpora take the sequential path rather
-/// than spawning idle workers; a panicking run fails the whole corpus
-/// (the panic propagates) instead of hanging the pool.
+/// workers; ordering and results match [`run_configs`]. A thread count
+/// of 1 (or of 0 on a 1-CPU host) and single-config corpora take the
+/// sequential path rather than spawning idle workers; a panicking run
+/// fails the whole corpus (the panic propagates) instead of hanging
+/// the pool.
 pub fn run_configs_parallel(configs: &[PairRunConfig], threads: usize) -> CorpusResult {
-    let threads = parallel::effective_threads(threads, configs.len());
+    let threads =
+        parallel::effective_threads(threads, configs.len(), parallel::available_threads());
     if threads <= 1 {
         return run_configs(configs);
     }

@@ -6,7 +6,7 @@
 //! collected can never affect what the simulation computed.
 
 use turb_capture::Capture;
-use turb_netsim::{FluidDiag, LineageDump, SchedStats, SchedulerKind, ShardDiag, Simulation};
+use turb_netsim::{FluidDiag, LineageDump, SchedStats, ShardDiag, Simulation};
 use turb_obs::{FragReport, LinkReport, MetricsRegistry, RunReport, SeriesDump, SessionDump};
 use turb_players::telemetry::player_report;
 use turb_players::AppStatsLog;
@@ -20,19 +20,18 @@ pub struct RunTelemetry {
     pub metrics: MetricsRegistry,
     /// The flight recorder's events as JSON Lines.
     pub trace_jsonl: String,
-    /// Which event-queue engine ran the simulation.
-    pub scheduler: SchedulerKind,
     /// Scheduler-internal diagnostics (slots touched, cascades,
-    /// overflow entries; all zero for the heap). Kept separate from
-    /// `report`/`metrics`/`trace_jsonl` deliberately: those three are
-    /// asserted byte-identical across schedulers, while these describe
-    /// the engine itself.
+    /// overflow entries). All zero when the event queue never outgrew
+    /// its binary heap, as in the paper's corpus pair runs. Kept
+    /// separate from `report`/`metrics`/`trace_jsonl` deliberately:
+    /// those three are asserted byte-identical across engines, while
+    /// these describe the event queue itself.
     pub sched: SchedStats,
     /// Per-packet lifecycle spans, when the run recorded lineage
-    /// ([`crate::PairRunConfig::with_lineage`]). Like `scheduler`/
-    /// `sched`, this sits outside the byte-identity set: the identity
-    /// tests assert `report`/`metrics`/`trace_jsonl` are unchanged by
-    /// turning lineage on, not that the dump itself exists.
+    /// ([`crate::PairRunConfig::with_lineage`]). Like `sched`, this
+    /// sits outside the byte-identity set: the identity tests assert
+    /// `report`/`metrics`/`trace_jsonl` are unchanged by turning
+    /// lineage on, not that the dump itself exists.
     pub lineage: Option<LineageDump>,
     /// Windowed time-series over the run, when it was recorded
     /// ([`crate::PairRunConfig::with_timeseries`]). Outside the
@@ -143,7 +142,6 @@ pub fn harvest(
         report,
         metrics,
         trace_jsonl: sim.trace_jsonl(),
-        scheduler: sim.scheduler(),
         sched: sim.sched_stats(),
         // Filled in by `run_pair` after harvesting (detaching the dumps
         // needs `&mut Simulation`; everything here reads shared refs).

@@ -23,7 +23,7 @@
 //! by `(time, seq)` like everything else, the ledger only ever takes
 //! commutative integer increments that are read after the run, and no
 //! code here draws randomness — so fleet results are byte-identical
-//! across schedulers, shard counts, and engines (at zero background),
+//! across shard counts and engines (at zero background),
 //! exactly like the scale scenario.
 
 use crate::sim::{Application, Ctx, Simulation};

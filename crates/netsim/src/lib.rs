@@ -21,8 +21,9 @@
 //!   the packet path sees them as reduced residual link capacity.
 //! * [`sim`] — the engine: event queue, [`Application`] trait,
 //!   [`Ctx`] capability handle, sniffer taps.
-//! * [`wheel`] — deterministic hierarchical timing wheel backing the
-//!   default event queue (`--scheduler heap` swaps the old heap in).
+//! * [`wheel`] — deterministic hierarchical timing wheel; the event
+//!   queue starts as a binary heap and moves into the wheel once more
+//!   than [`wheel::WHEEL_SLOTS`] events are pending.
 //! * [`shard`] — conservative parallel engine: the topology is
 //!   partitioned into per-thread domains, lookahead = the minimum
 //!   propagation over cut links, and cross-domain packets transit
@@ -83,15 +84,13 @@ pub use node::{AppId, Node, NodeKind, NodeStats};
 pub use red::RedQueue;
 pub use rng::SimRng;
 pub use shard::{ShardDiag, ShardDomainStats, ShardKind};
-pub use sim::{
-    Application, Ctx, Direction, SchedulerKind, SimCore, SimStats, Simulation, Tap, TapEvent,
-};
+pub use sim::{Application, Ctx, Direction, SimCore, SimStats, Simulation, Tap, TapEvent};
 pub use time::{SimDuration, SimTime};
 // Lineage vocabulary re-exported so apps built on `Ctx` don't need a
 // direct `turb-obs` edge just to describe their packets.
 pub use topology::{InternetScenario, ScenarioConfig, SitePath};
 pub use turb_obs::lineage::{DropCause, LineageDump, PacketizeMeta, SpanOutcome, Stage};
-pub use wheel::{SchedStats, TimingWheel};
+pub use wheel::{SchedStats, TimingWheel, WHEEL_SLOTS};
 
 /// Convenient glob import for simulation consumers.
 pub mod prelude {
@@ -101,7 +100,7 @@ pub mod prelude {
     pub use crate::node::AppId;
     pub use crate::rng::SimRng;
     pub use crate::shard::{ShardDiag, ShardDomainStats, ShardKind};
-    pub use crate::sim::{Application, Ctx, Direction, SchedulerKind, Simulation, TapEvent};
+    pub use crate::sim::{Application, Ctx, Direction, Simulation, TapEvent};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::tools;
     pub use crate::topology::{InternetScenario, ScenarioConfig};

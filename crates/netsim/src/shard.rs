@@ -28,8 +28,7 @@ use crate::link::{Link, LinkId, NodeId};
 use crate::node::{AppId, Node};
 use crate::sim::{
     collect_link_metrics, collect_node_metrics, collect_sim_metrics, AppSlot, Application,
-    Delivery, Event, EventQueue, LineageState, SchedulerKind, SessionState, SimCore, SimStats,
-    Simulation,
+    Delivery, Event, EventQueue, LineageState, SessionState, SimCore, SimStats, Simulation,
 };
 use crate::time::SimTime;
 use crate::wheel::SchedStats;
@@ -371,7 +370,6 @@ impl ShardedEngine {
             }
         }
 
-        let scheduler = core.queue.kind();
         let now = core.now;
 
         // Per-domain observers. Domain 0 inherits the originals (with
@@ -493,7 +491,7 @@ impl ShardedEngine {
                 Simulation {
                     core: SimCore {
                         now,
-                        queue: EventQueue::with_capacity(scheduler, 1024),
+                        queue: EventQueue::new(),
                         seq: 0,
                         nodes: domain_nodes,
                         links: domain_links,
@@ -867,10 +865,6 @@ impl ShardedEngine {
             total.transit_slowpath += s.transit_slowpath;
         }
         total
-    }
-
-    pub(crate) fn scheduler(&self) -> SchedulerKind {
-        self.domains[0].core.scheduler()
     }
 
     /// `FluidUpdate` events applied, summed across domains.

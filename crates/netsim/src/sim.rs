@@ -15,9 +15,8 @@ use crate::link::{Link, LinkConfig, LinkId, NodeId, TxOutcome};
 use crate::node::{AppId, Node, NodeKind, NodeStats};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::{SchedStats, TimingWheel};
+use crate::wheel::{Entry, SchedStats, TimingWheel, WHEEL_SLOTS};
 use bytes::Bytes;
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
@@ -102,81 +101,52 @@ pub(crate) enum Event {
     },
 }
 
-#[derive(Debug)]
-pub(crate) struct Scheduled {
-    time: SimTime,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// Which event-queue implementation drives the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Hierarchical timing wheel (see [`crate::wheel`]); the default.
-    #[default]
-    Wheel,
-    /// The original binary heap, kept for A/B verification.
-    Heap,
-}
-
-impl SchedulerKind {
-    /// Stable lowercase name, as accepted by `--scheduler`.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Wheel => "wheel",
-            SchedulerKind::Heap => "heap",
-        }
-    }
-}
-
-/// The two interchangeable queue engines. Both pop in exactly
-/// `(time, seq)` order — `tests/scheduler_equivalence.rs` proves full
-/// runs byte-identical, which is what lets the wheel be the default.
+/// The engine's event queue. It starts as a binary heap and moves
+/// every entry into the timing wheel, once and for good, the first
+/// time more than [`WHEEL_SLOTS`] events are pending: shallow queues
+/// (a pair run peaks near 20) pop fastest from a small heap, deep ones
+/// (a fleet keeps ~10⁵ timers) from the wheel. Both pop in exactly
+/// `(time, seq)` order, so the switch never shows in a run's output —
+/// `tests/scheduler_equivalence.rs` checks the wheel against a heap
+/// oracle.
 pub(crate) enum EventQueue {
-    Heap(BinaryHeap<Scheduled>),
+    Heap(BinaryHeap<Entry<Event>>),
     // Boxed: the wheel carries its occupancy bitmaps inline and would
     // otherwise dwarf the heap variant.
     Wheel(Box<TimingWheel<Event>>),
 }
 
 impl EventQueue {
-    pub(crate) fn with_capacity(kind: SchedulerKind, capacity: usize) -> EventQueue {
-        match kind {
-            SchedulerKind::Heap => EventQueue::Heap(BinaryHeap::with_capacity(capacity)),
-            SchedulerKind::Wheel => {
-                EventQueue::Wheel(Box::new(TimingWheel::with_capacity(capacity)))
-            }
-        }
+    pub(crate) fn new() -> EventQueue {
+        EventQueue::Heap(BinaryHeap::new())
     }
 
     pub(crate) fn push(&mut self, time: SimTime, seq: u64, event: Event) {
-        match self {
-            EventQueue::Heap(heap) => heap.push(Scheduled { time, seq, event }),
-            EventQueue::Wheel(wheel) => wheel.push(time, seq, event),
+        if let EventQueue::Heap(heap) = self {
+            if heap.len() < WHEEL_SLOTS {
+                heap.push(Entry {
+                    time,
+                    seq,
+                    value: event,
+                });
+                return;
+            }
+            let heap = std::mem::take(heap);
+            let start = heap.peek().map_or(time, |e| e.time.min(time));
+            let mut wheel = Box::new(TimingWheel::starting_at(start));
+            for e in heap.into_vec() {
+                wheel.push(e.time, e.seq, e.value);
+            }
+            *self = EventQueue::Wheel(wheel);
+        }
+        if let EventQueue::Wheel(wheel) = self {
+            wheel.push(time, seq, event);
         }
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
         match self {
-            EventQueue::Heap(heap) => heap.pop().map(|s| (s.time, s.event)),
+            EventQueue::Heap(heap) => heap.pop().map(|e| (e.time, e.value)),
             EventQueue::Wheel(wheel) => wheel.pop().map(|(time, _seq, event)| (time, event)),
         }
     }
@@ -185,7 +155,7 @@ impl EventQueue {
     /// its internal cursor to surface it.
     pub(crate) fn next_time(&mut self) -> Option<SimTime> {
         match self {
-            EventQueue::Heap(heap) => heap.peek().map(|s| s.time),
+            EventQueue::Heap(heap) => heap.peek().map(|e| e.time),
             EventQueue::Wheel(wheel) => wheel.next_time(),
         }
     }
@@ -194,13 +164,6 @@ impl EventQueue {
         match self {
             EventQueue::Heap(heap) => heap.len(),
             EventQueue::Wheel(wheel) => wheel.len(),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> SchedulerKind {
-        match self {
-            EventQueue::Heap(_) => SchedulerKind::Heap,
-            EventQueue::Wheel(_) => SchedulerKind::Wheel,
         }
     }
 
@@ -453,14 +416,10 @@ impl SimCore {
         self.stats
     }
 
-    /// Which scheduler implementation drives the event queue.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.queue.kind()
-    }
-
-    /// Scheduler-internal diagnostics (all zero for the heap). These
-    /// describe the engine, not the simulated network, so they stay
-    /// outside the cross-scheduler identity set (see DESIGN.md).
+    /// Scheduler-internal diagnostics, all zero while the queue is
+    /// still a heap. These describe the engine, not the simulated
+    /// network, so they stay outside the byte-identity set (see
+    /// DESIGN.md).
     pub fn sched_stats(&self) -> SchedStats {
         self.queue.sched_stats()
     }
@@ -1368,21 +1327,12 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Create an empty simulation with the given RNG seed and the
-    /// default scheduler (the timing wheel).
+    /// Create an empty simulation with the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, SchedulerKind::default())
-    }
-
-    /// Like [`Simulation::new`] with an explicit event-queue engine,
-    /// for the `--scheduler wheel|heap` A/B harness.
-    pub fn with_scheduler(seed: u64, scheduler: SchedulerKind) -> Self {
         Simulation {
             core: SimCore {
                 now: SimTime::ZERO,
-                // Streaming runs keep thousands of in-flight events;
-                // pre-size the queue so warm-up doesn't regrow it.
-                queue: EventQueue::with_capacity(scheduler, 1024),
+                queue: EventQueue::new(),
                 seq: 0,
                 nodes: Vec::new(),
                 links: Vec::new(),
@@ -1432,12 +1382,11 @@ impl Simulation {
         let crate::shard::ShardKind::Sharded(n) = self.shards else {
             return;
         };
-        let scheduler = self.core.queue.kind();
         let core = std::mem::replace(
             &mut self.core,
             SimCore {
                 now: SimTime::ZERO,
-                queue: EventQueue::with_capacity(scheduler, 0),
+                queue: EventQueue::new(),
                 seq: 0,
                 nodes: Vec::new(),
                 links: Vec::new(),
@@ -1609,16 +1558,8 @@ impl Simulation {
         }
     }
 
-    /// Which scheduler drives this run.
-    pub fn scheduler(&self) -> SchedulerKind {
-        match self.sharded.as_deref() {
-            Some(sh) => sh.scheduler(),
-            None => self.core.scheduler(),
-        }
-    }
-
-    /// Scheduler-internal diagnostics (all zero for the heap; summed
-    /// across domains for a sharded run).
+    /// Scheduler-internal diagnostics (all zero while every queue is
+    /// still a heap; summed across domains for a sharded run).
     pub fn sched_stats(&self) -> SchedStats {
         match self.sharded.as_deref() {
             Some(sh) => sh.sched_stats(),
@@ -2610,5 +2551,36 @@ mod tests {
         let (ta, sa, _) = fluid_run(false);
         let (tb, sb, _) = fluid_run(false);
         assert_eq!((ta, sa), (tb, sb));
+    }
+
+    #[test]
+    fn same_instant_events_stay_fifo_across_the_heap_to_wheel_switch() {
+        // One instant, more events than the heap holds: the first
+        // WHEEL_SLOTS go into the heap, the next push moves them all
+        // into the wheel, and the rest land there. Pops must still come
+        // out in push (seq) order.
+        let at = SimTime(5_000_000);
+        let total = WHEEL_SLOTS as u64 + 64;
+        let mut queue = EventQueue::new();
+        for seq in 0..total {
+            let event = Event::Timer {
+                app: AppId(0),
+                token: seq,
+            };
+            queue.push(at, seq, event);
+            let in_wheel = matches!(queue, EventQueue::Wheel(_));
+            assert_eq!(in_wheel, seq >= WHEEL_SLOTS as u64, "after push {seq}");
+        }
+        assert_eq!(queue.len() as u64, total);
+        for seq in 0..total {
+            match queue.pop() {
+                Some((time, Event::Timer { token, .. })) => assert_eq!((time, token), (at, seq)),
+                _ => panic!("expected timer {seq}"),
+            }
+        }
+        assert!(queue.pop().is_none());
+        // The wheel took over at `at`, not at time zero, so no entry
+        // was ever filed in a slot.
+        assert_eq!(queue.sched_stats(), SchedStats::default());
     }
 }

@@ -1,12 +1,12 @@
 //! A deterministic hierarchical timing wheel for the event queue.
 //!
-//! The simulator's original scheduler was a `BinaryHeap` ordered by
-//! `(time, insertion sequence)`. That order is the engine's contract:
-//! earlier sim-time first, and FIFO among events scheduled for the
-//! same instant. The wheel reproduces that order *exactly* — pop for
-//! pop — while making the common case (events scheduled a short,
-//! bounded distance into the future) O(1) amortised instead of
-//! O(log n).
+//! The engine's event queue pops in `(time, insertion sequence)`
+//! order: earlier sim-time first, and FIFO among events scheduled for
+//! the same instant. It starts as a `BinaryHeap` in that order and
+//! moves into this wheel once more than [`WHEEL_SLOTS`] events are
+//! pending. The wheel reproduces that order *exactly* — pop for pop —
+//! while making the common case (events scheduled a short, bounded
+//! distance into the future) O(1) amortised instead of O(log n).
 //!
 //! ## Layout
 //!
@@ -26,8 +26,8 @@
 //! `(time, seq)` key. Sub-tick ordering therefore never depends on
 //! the wheel geometry — the wheel only decides *when a tick's events
 //! become current*, and the heap restores the total order within it.
-//! That is what makes the wheel bit-identical to the old scheduler
-//! instead of merely "close enough" (see DESIGN.md §5).
+//! That is what makes the wheel bit-identical to the heap instead of
+//! merely "close enough" (see DESIGN.md §5).
 //!
 //! ## Advancing
 //!
@@ -35,10 +35,12 @@
 //! for the next non-empty slot in the current 256-tick era. At an era
 //! boundary it cascades the next level-1 slot (re-dispatching each
 //! entry, which now lands in level 0 or `current`), and likewise for
-//! deeper levels at their `256^l`-aligned boundaries. If the whole
-//! wheel is empty it jumps straight to the earliest far-future entry.
-//! Each entry is touched at most `LEVELS` times total, and slot
-//! scans are 4 × `u64` bitmap words per level — no per-slot walk.
+//! deeper levels at their `256^l`-aligned boundaries. With level 0
+//! empty it skips every empty era up to the next boundary that
+//! cascades an occupied slot, and if the whole wheel is empty it
+//! jumps straight to the earliest far-future entry. Each entry is
+//! touched at most `LEVELS` times total, and slot scans are 4 × `u64`
+//! bitmap words per level — no per-slot walk.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -58,10 +60,16 @@ const LEVELS: usize = 4;
 const HORIZON_TICKS: u64 = 1 << (BITS * LEVELS as u32);
 /// u64 words in one level's occupancy bitmap.
 const BITMAP_WORDS: usize = SLOTS / 64;
+/// Slots across all levels (4 × 256). The engine's event queue stays
+/// a plain binary heap until more entries are pending than this: below
+/// one entry per slot the wheel's fixed slot table and cursor walk buy
+/// nothing over a heap of that size.
+pub const WHEEL_SLOTS: usize = LEVELS * SLOTS;
 
 /// Scheduler-internal diagnostics. These describe the *engine*, not
 /// the simulated network, so they are reported alongside telemetry
-/// but never folded into the cross-scheduler identity set.
+/// but never folded into the byte-identity set. All zero when the
+/// engine's queue never outgrew its binary heap (see [`WHEEL_SLOTS`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Occupied slots drained into the current heap (level 0).
@@ -73,10 +81,11 @@ pub struct SchedStats {
 }
 
 /// One scheduled item: the exact `(time, seq)` key plus its payload.
-struct Entry<T> {
-    time: SimTime,
-    seq: u64,
-    value: T,
+/// Also the engine's heap entry before its queue moves into a wheel.
+pub(crate) struct Entry<T> {
+    pub(crate) time: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) value: T,
 }
 
 // Manual impls: ordering ignores the payload entirely. Reversed so
@@ -122,17 +131,19 @@ pub struct TimingWheel<T> {
 
 impl<T> TimingWheel<T> {
     pub fn new() -> Self {
-        Self::with_capacity(0)
+        Self::starting_at(SimTime::ZERO)
     }
 
-    /// `capacity` pre-sizes the current-tick heap, the stand-in for
-    /// the old scheduler's pre-sized `BinaryHeap`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut slots = Vec::with_capacity(LEVELS * SLOTS);
-        slots.resize_with(LEVELS * SLOTS, Vec::new);
+    /// An empty wheel whose cursor sits on `now`'s tick, for taking
+    /// over a queue mid-run: entries are filed relative to `now`
+    /// instead of being walked up to it era by era from zero. Any
+    /// later push is still ordered exactly, even one before `now`.
+    pub fn starting_at(now: SimTime) -> Self {
+        let mut slots = Vec::with_capacity(WHEEL_SLOTS);
+        slots.resize_with(WHEEL_SLOTS, Vec::new);
         TimingWheel {
-            current_tick: 0,
-            current: BinaryHeap::with_capacity(capacity),
+            current_tick: Self::tick_of(now),
+            current: BinaryHeap::new(),
             slots,
             occupied: [[0u64; BITMAP_WORDS]; LEVELS],
             overflow: BinaryHeap::new(),
@@ -281,8 +292,14 @@ impl<T> TimingWheel<T> {
                 return; // the slot was non-empty ⇒ current is too
             }
             // Era exhausted: step to the boundary and cascade every
-            // level whose slot boundary we just crossed.
-            let next_era = (self.current_tick | SLOT_MASK) + 1;
+            // level whose slot boundary we just crossed. With level 0
+            // empty, every era before the next boundary that cascades
+            // an occupied slot is empty too: skip straight to it.
+            let next_era = if self.occupied[0].iter().all(|&w| w == 0) {
+                self.next_busy_boundary()
+            } else {
+                (self.current_tick | SLOT_MASK) + 1
+            };
             self.current_tick = next_era;
             for level in 1..LEVELS {
                 if next_era & ((1u64 << (BITS * level as u32)) - 1) != 0 {
@@ -312,6 +329,32 @@ impl<T> TimingWheel<T> {
         }
     }
 
+    /// The first era boundary after `current_tick` at which `advance`
+    /// has work: cascading an occupied slot of level 1 or higher, or
+    /// sweeping a non-empty overflow heap at a horizon boundary.
+    fn next_busy_boundary(&self) -> u64 {
+        let mut boundary = if self.overflow.is_empty() {
+            u64::MAX
+        } else {
+            ((self.current_tick / HORIZON_TICKS) + 1) * HORIZON_TICKS
+        };
+        for level in 1..LEVELS {
+            let shift = BITS * level as u32;
+            let base = (self.current_tick >> shift) + 1;
+            let from = (base & SLOT_MASK) as usize;
+            let slot = self
+                .next_occupied(level, from)
+                .or_else(|| self.next_occupied(level, 0));
+            if let Some(slot) = slot {
+                // Level-`level` boundaries pass slots in index order,
+                // wrapping at SLOTS.
+                let steps = (slot as u64).wrapping_sub(from as u64) & SLOT_MASK;
+                boundary = boundary.min((base + steps) << shift);
+            }
+        }
+        boundary
+    }
+
     /// Re-dispatch overflow entries that now fall inside the horizon.
     fn sweep_overflow(&mut self) {
         while let Some(head) = self.overflow.peek() {
@@ -334,7 +377,6 @@ impl<T> Default for TimingWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SimRng;
 
     const TICK_NS: u64 = 1 << TICK_SHIFT;
 
@@ -346,7 +388,7 @@ mod tests {
         out
     }
 
-    /// Reference order: exactly what `BinaryHeap<Scheduled>` produced.
+    /// Reference order: `(time, seq)`, what a binary heap pops.
     fn heap_order(mut items: Vec<(u64, u64, u32)>) -> Vec<(u64, u64, u32)> {
         items.sort_by_key(|&(t, s, _)| (t, s));
         items
@@ -486,59 +528,6 @@ mod tests {
         let mut values: Vec<u32> = popped.iter().map(|&(_, _, v)| v).collect();
         values.sort_unstable();
         assert_eq!(values, vec![10, 11]);
-    }
-
-    #[test]
-    fn interleaved_push_pop_preserves_heap_order() {
-        // Mimic the simulator: pop one event, schedule a few more
-        // relative to it, repeat. Compare against a real BinaryHeap.
-        let mut wheel = TimingWheel::new();
-        let mut heap: BinaryHeap<Entry<u32>> = BinaryHeap::new();
-        let mut rng = SimRng::new(99);
-        let mut seq = 0u64;
-        fn push_both(
-            wheel: &mut TimingWheel<u32>,
-            heap: &mut BinaryHeap<Entry<u32>>,
-            t: u64,
-            seq: &mut u64,
-        ) {
-            let v = *seq as u32;
-            wheel.push(SimTime(t), *seq, v);
-            heap.push(Entry {
-                time: SimTime(t),
-                seq: *seq,
-                value: v,
-            });
-            *seq += 1;
-        }
-        for t in [0u64, 1, TICK_NS, 5 * TICK_NS] {
-            push_both(&mut wheel, &mut heap, t, &mut seq);
-        }
-        for _ in 0..2_000 {
-            let from_wheel = wheel.pop();
-            let from_heap = heap.pop().map(|e| (e.time, e.seq, e.value));
-            assert_eq!(from_wheel, from_heap);
-            let Some((now, _, _)) = from_wheel else {
-                break;
-            };
-            // Schedule 0-2 follow-ups at assorted distances, from
-            // sub-tick to beyond the horizon.
-            for _ in 0..rng.index(3) {
-                let jump = match rng.index(5) {
-                    0 => rng.range_u64(0, TICK_NS),
-                    1 => rng.range_u64(0, 256 * TICK_NS),
-                    2 => rng.range_u64(0, 65_536 * TICK_NS),
-                    3 => rng.range_u64(0, HORIZON_TICKS * TICK_NS / 8),
-                    _ => HORIZON_TICKS * TICK_NS + rng.range_u64(0, TICK_NS * 1_000),
-                };
-                push_both(&mut wheel, &mut heap, now.as_nanos() + jump, &mut seq);
-            }
-        }
-        assert_eq!(wheel.len(), heap.len());
-        while let Some(e) = heap.pop() {
-            assert_eq!(wheel.pop(), Some((e.time, e.seq, e.value)));
-        }
-        assert!(wheel.pop().is_none());
     }
 
     #[test]

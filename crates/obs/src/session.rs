@@ -238,7 +238,7 @@ impl SessionRollup {
 /// Deterministic session-sampling filter: a pure function of
 /// `(seed, session id, rate)` decides which sessions record full
 /// per-packet lineage, so the selection is invariant under thread
-/// count, shard count, scheduler, and engine by construction.
+/// count, shard count, and engine by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionSampler {
     seed: u64,
@@ -545,7 +545,7 @@ impl SessionDump {
 
     /// One JSON object per session, fixed field order and schema
     /// (integer-only values, `null` for "never"), deterministic byte
-    /// for byte across threads, shards, schedulers, and engines.
+    /// for byte across threads, shards, and engines.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.rollups.len() * 192);
         for (id, r) in self.rollups.iter().enumerate() {

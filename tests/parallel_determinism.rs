@@ -7,6 +7,7 @@
 //! registry, and results merge back in canonical Table-1 order
 //! regardless of which worker finished first.
 
+use turbulence::parallel::{available_threads, effective_threads};
 use turbulence::runner::{self, CorpusResult};
 use turbulence::{figures, PairRunConfig};
 
@@ -133,9 +134,17 @@ fn full_corpus_is_identical_across_the_pool() {
 #[test]
 fn zero_threads_and_tiny_corpora_degrade_to_sequential() {
     let configs = runner::corpus_configs_for_sets(5, &[2]);
-    // --threads 0 must not panic or spawn idle workers.
+    let jobs = configs.len();
+    assert_eq!(jobs, 2);
+    // --threads 0 is auto: the host's width capped at the job count,
+    // so a 1-CPU host degrades to sequential and a wide host spawns
+    // no idle workers.
+    assert_eq!(effective_threads(0, jobs, 1), 1);
+    assert_eq!(effective_threads(0, jobs, 8), 2);
+    // The pool resolves 0 against this host the same way.
     let zero = runner::run_configs_parallel(&configs, 0);
-    assert_eq!(zero.threads, 1);
+    assert_eq!(zero.threads, available_threads().min(jobs));
+    assert_eq!(zero.runs.len(), jobs);
     // A single-config corpus caps the pool at one worker.
     let single = runner::run_configs_parallel(&configs[..1], 8);
     assert_eq!(single.threads, 1);
