@@ -131,6 +131,14 @@ fn a_corpus_pair_run_never_leaves_the_heap() {
             run.set_id,
             run.class
         );
+        // Independent of the queue: streaming traffic fits the MTU, so
+        // every pair run takes the zero-copy transit fast path.
+        assert!(
+            telemetry.report.transit_fastpath > 0,
+            "set {} {:?}: streaming traffic fits the MTU and must use the fast path",
+            run.set_id,
+            run.class
+        );
     }
 }
 
