@@ -91,7 +91,6 @@ fn ablation_jitter_vs_interarrival_spread(c: &mut Criterion) {
                 }
             }
         }
-        use std::sync::Mutex;
         use std::sync::{Arc, Mutex};
         struct Sink {
             arrivals: Arc<Mutex<Vec<f64>>>,

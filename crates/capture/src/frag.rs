@@ -12,35 +12,33 @@
 use crate::record::PacketRecord;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use turb_wire::media::PlayerId;
 
-/// One datagram's worth of captured frames (usually one MediaPlayer
-/// application frame).
+/// The header of one datagram's worth of captured frames (usually one
+/// MediaPlayer application frame). The frames themselves live in the
+/// owning [`FragmentGroups`], read through
+/// [`FragmentGroups::frame_lens`] and [`FragmentGroups::frame_times`].
 #[derive(Debug, Clone)]
 pub struct Group {
-    /// The datagram key: (src, dst, protocol, identification).
-    pub key: (Ipv4Addr, Ipv4Addr, u8, u16),
     /// Arrival time of the group's first frame, seconds.
     pub first_time: f64,
     /// Arrival time of the group's last frame, seconds.
     pub last_time: f64,
     /// Number of frames in the group (1 = unfragmented).
-    pub packets: usize,
+    pub packets: u32,
     /// Total wire bytes across the group.
-    pub wire_bytes: usize,
-    /// Wire length of each frame, in arrival order.
-    pub frame_lens: Vec<usize>,
-    /// Arrival time (seconds) of each frame, parallel to `frame_lens`.
-    pub frame_times: Vec<f64>,
+    pub wire_bytes: u32,
     /// The player that produced the datagram, when a media header was
     /// visible on any of its frames (separates the two simultaneous
     /// streams of the paper's methodology).
     pub player: Option<PlayerId>,
     /// Whether the datagram was flagged as buffering-phase traffic.
     pub buffering: bool,
-    /// Fragment extents seen: (payload offset, payload length,
-    /// more-fragments flag) per frame. Used for completeness checks.
-    extents: Vec<(usize, usize, bool)>,
+    /// Index of the group's first frame in the owner's frame arrays.
+    start: u32,
+    /// Whether the frames reassemble, decided once at build time.
+    complete: bool,
 }
 
 impl Group {
@@ -49,35 +47,12 @@ impl Group {
     /// test a host's reassembler applies, so incomplete groups here
     /// correspond one-to-one with reassembly timeout discards.
     pub fn is_complete(&self) -> bool {
-        let Some(end) = self
-            .extents
-            .iter()
-            .find(|(_, _, more)| !more)
-            .map(|(off, len, _)| off + len)
-        else {
-            return false;
-        };
-        // Sort the extents into a thread-local scratch: this runs for
-        // every group of every figure, and a fresh Vec per call was
-        // measurable on large captures.
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<Vec<(usize, usize)>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        SCRATCH.with(|scratch| {
-            let mut extents = scratch.borrow_mut();
-            extents.clear();
-            extents.extend(self.extents.iter().map(|(off, len, _)| (*off, *len)));
-            extents.sort_unstable();
-            let mut covered = 0usize;
-            for &(off, len) in extents.iter() {
-                if off > covered {
-                    return false; // hole
-                }
-                covered = covered.max(off + len);
-            }
-            covered >= end
-        })
+        self.complete
+    }
+
+    fn frames(&self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.packets as usize
     }
 }
 
@@ -107,65 +82,41 @@ impl FragmentationStats {
     }
 }
 
-/// Groups a capture slice into datagrams.
-#[derive(Debug, Clone)]
+/// A capture slice grouped into datagrams.
+///
+/// Flat layout: one compact header per group, plus every frame's wire
+/// length and arrival time in two arrays shared by all groups. Each
+/// group's frames are contiguous there and in arrival order.
+#[derive(Debug, Clone, Default)]
 pub struct FragmentGroups {
     groups: Vec<Group>,
+    frame_lens: Vec<u32>,
+    frame_times: Vec<f64>,
 }
 
 impl FragmentGroups {
     /// Group records (already filtered to the stream of interest) by
     /// datagram. Records of the same datagram need not be adjacent.
     pub fn build<'a>(records: impl IntoIterator<Item = &'a PacketRecord>) -> FragmentGroups {
-        let mut order: Vec<(Ipv4Addr, Ipv4Addr, u8, u16)> = Vec::new();
-        let mut map: HashMap<(Ipv4Addr, Ipv4Addr, u8, u16), Group> = HashMap::new();
-        for r in records {
-            let key = r.packet.datagram_key();
-            let t = r.time_secs();
-            let entry = map.entry(key).or_insert_with(|| {
-                order.push(key);
-                Group {
-                    key,
-                    first_time: t,
-                    last_time: t,
-                    packets: 0,
-                    wire_bytes: 0,
-                    // A media datagram fragments into ≤3 frames at
-                    // Ethernet MTU; size for that up front.
-                    frame_lens: Vec::with_capacity(3),
-                    frame_times: Vec::with_capacity(3),
-                    player: None,
-                    buffering: false,
-                    extents: Vec::with_capacity(3),
-                }
-            });
-            entry.packets += 1;
-            entry.extents.push((
-                r.packet.fragment_offset_bytes(),
-                r.packet.payload.len(),
-                r.packet.more_fragments,
-            ));
-            entry.wire_bytes += r.wire_len;
-            entry.frame_lens.push(r.wire_len);
-            entry.frame_times.push(t);
-            entry.first_time = entry.first_time.min(t);
-            entry.last_time = entry.last_time.max(t);
-            if entry.player.is_none() {
-                entry.player = r.media.map(|m| m.player);
-            }
-            entry.buffering |= r.media.is_some_and(|m| m.buffering);
-        }
-        FragmentGroups {
-            groups: order
-                .into_iter()
-                .map(|k| map.remove(&k).expect("keyed"))
-                .collect(),
-        }
+        let [all] = build_parts(records, |_| Some(0));
+        all
     }
 
     /// The groups, in order of first appearance.
     pub fn groups(&self) -> &[Group] {
         &self.groups
+    }
+
+    /// Wire length of each of `group`'s frames, in arrival order.
+    /// `group` must be one of this view's [`groups`](Self::groups).
+    pub fn frame_lens(&self, group: &Group) -> &[u32] {
+        &self.frame_lens[group.frames()]
+    }
+
+    /// Arrival time (seconds) of each of `group`'s frames, parallel to
+    /// [`frame_lens`](Self::frame_lens).
+    pub fn frame_times(&self, group: &Group) -> &[f64] {
+        &self.frame_times[group.frames()]
     }
 
     /// Aggregate statistics (Figure 5).
@@ -175,9 +126,10 @@ impl FragmentGroups {
             ..Default::default()
         };
         for g in &self.groups {
-            s.total_packets += g.packets;
-            if g.packets > 1 {
-                s.fragment_packets += g.packets - 1;
+            let packets = g.packets as usize;
+            s.total_packets += packets;
+            if packets > 1 {
+                s.fragment_packets += packets - 1;
                 s.fragmented_groups += 1;
             }
         }
@@ -188,7 +140,7 @@ impl FragmentGroups {
     /// the sniffer-side mirror of the hosts' reassembly timeout
     /// discards.
     pub fn incomplete_groups(&self) -> usize {
-        self.groups.iter().filter(|g| !g.is_complete()).count()
+        self.groups.iter().filter(|g| !g.complete).count()
     }
 
     /// First-frame arrival times per group, for interarrival analysis
@@ -200,25 +152,157 @@ impl FragmentGroups {
 
     /// Interarrival gaps between group leaders.
     pub fn group_interarrivals(&self) -> Vec<f64> {
-        // Stream over the groups directly; no intermediate times vector.
         self.groups
             .windows(2)
             .map(|w| w[1].first_time - w[0].first_time)
             .collect()
     }
+}
 
-    /// Only the groups attributable to `player` (by visible media
-    /// headers).
-    pub fn for_player(&self, player: PlayerId) -> FragmentGroups {
-        FragmentGroups {
-            groups: self
-                .groups
-                .iter()
-                .filter(|g| g.player == Some(player))
-                .cloned()
-                .collect(),
+/// Both players' fragment groups of one stream, split by the media
+/// headers their frames carry.
+#[derive(Debug, Clone, Default)]
+pub struct PlayerGroups {
+    real: FragmentGroups,
+    wmp: FragmentGroups,
+}
+
+impl PlayerGroups {
+    /// Group records (already filtered to the stream of interest) by
+    /// datagram in one pass, and keep each player's groups apart.
+    /// Groups with no visible media header belong to neither player.
+    pub fn build<'a>(records: impl IntoIterator<Item = &'a PacketRecord>) -> PlayerGroups {
+        let [real, wmp] = build_parts(records, |g| match g.player? {
+            PlayerId::RealPlayer => Some(0),
+            PlayerId::MediaPlayer => Some(1),
+        });
+        PlayerGroups { real, wmp }
+    }
+
+    /// One player's groups, in order of first appearance.
+    pub fn player(&self, player: PlayerId) -> &FragmentGroups {
+        match player {
+            PlayerId::RealPlayer => &self.real,
+            PlayerId::MediaPlayer => &self.wmp,
         }
     }
+}
+
+/// One frame's fragment extent: (payload offset, payload length,
+/// more-fragments flag).
+type Extent = (usize, usize, bool);
+
+/// Group `records` by datagram, then lay out the groups `part_of`
+/// assigns to part `i` (in order of first appearance) as the `i`th
+/// flat view. Groups assigned to no part are dropped.
+fn build_parts<'a, const N: usize>(
+    records: impl IntoIterator<Item = &'a PacketRecord>,
+    part_of: impl Fn(&Group) -> Option<usize>,
+) -> [FragmentGroups; N] {
+    // Pass 1: the group headers, and which group each frame joins.
+    let mut index: HashMap<(Ipv4Addr, Ipv4Addr, u8, u16), usize> = HashMap::new();
+    let mut headers: Vec<Group> = Vec::new();
+    let mut frames: Vec<(usize, &PacketRecord)> = Vec::new();
+    for r in records {
+        let t = r.time_secs();
+        let g = *index.entry(r.packet.datagram_key()).or_insert_with(|| {
+            headers.push(Group {
+                first_time: t,
+                last_time: t,
+                packets: 0,
+                wire_bytes: 0,
+                player: None,
+                buffering: false,
+                start: 0,
+                complete: false,
+            });
+            headers.len() - 1
+        });
+        let h = &mut headers[g];
+        h.packets += 1;
+        h.wire_bytes = u32::try_from(r.wire_len)
+            .ok()
+            .and_then(|len| h.wire_bytes.checked_add(len))
+            .expect("a datagram's frames total under 4 GiB");
+        h.first_time = h.first_time.min(t);
+        h.last_time = h.last_time.max(t);
+        if h.player.is_none() {
+            h.player = r.media.map(|m| m.player);
+        }
+        h.buffering |= r.media.is_some_and(|m| m.buffering);
+        frames.push((g, r));
+    }
+
+    // Give every kept group a contiguous frame range in its part, and
+    // size each part's arrays exactly.
+    let assigned: Vec<Option<usize>> = headers.iter().map(&part_of).collect();
+    let mut parts: [FragmentGroups; N] = std::array::from_fn(|p| FragmentGroups {
+        groups: Vec::with_capacity(assigned.iter().filter(|&&a| a == Some(p)).count()),
+        ..FragmentGroups::default()
+    });
+    let mut cursor: Vec<Option<(usize, usize)>> = Vec::with_capacity(headers.len());
+    let mut filled = [0usize; N];
+    for (mut h, p) in headers.into_iter().zip(assigned) {
+        cursor.push(p.map(|p| {
+            let start = filled[p];
+            filled[p] += h.packets as usize;
+            h.start = u32::try_from(start).expect("a view holds under 2^32 frames");
+            parts[p].groups.push(h);
+            (p, start)
+        }));
+    }
+    for (part, &n) in parts.iter_mut().zip(&filled) {
+        part.frame_lens = vec![0; n];
+        part.frame_times = vec![0.0; n];
+    }
+
+    // Pass 2: drop each frame into its group's next slot, which keeps
+    // a group's frames in arrival order.
+    let mut extents: [Vec<Extent>; N] = std::array::from_fn(|p| vec![(0, 0, false); filled[p]]);
+    for (g, r) in frames {
+        let Some((p, slot)) = cursor[g].as_mut() else {
+            continue;
+        };
+        let part = &mut parts[*p];
+        part.frame_lens[*slot] =
+            u32::try_from(r.wire_len).expect("checked when the header summed it");
+        part.frame_times[*slot] = r.time_secs();
+        extents[*p][*slot] = (
+            r.packet.fragment_offset_bytes(),
+            r.packet.payload.len(),
+            r.packet.more_fragments,
+        );
+        *slot += 1;
+    }
+
+    for (part, extents) in parts.iter_mut().zip(&mut extents) {
+        for g in &mut part.groups {
+            g.complete = reassembles(&mut extents[g.frames()]);
+        }
+    }
+    parts
+}
+
+/// The reassembler's test over one group's extents, given in arrival
+/// order: a final fragment arrived and the payload bytes cover
+/// `[0, end)` without holes. Sorts `extents` in place.
+fn reassembles(extents: &mut [Extent]) -> bool {
+    let Some(end) = extents
+        .iter()
+        .find(|(_, _, more)| !more)
+        .map(|(off, len, _)| off + len)
+    else {
+        return false;
+    };
+    extents.sort_unstable();
+    let mut covered = 0usize;
+    for &(off, len, _) in extents.iter() {
+        if off > covered {
+            return false; // hole
+        }
+        covered = covered.max(off + len);
+    }
+    covered >= end
 }
 
 #[cfg(test)]
@@ -301,10 +385,11 @@ mod tests {
         let records = records_for(&[3848], 0);
         let groups = FragmentGroups::build(records.iter());
         let g = &groups.groups()[0];
-        assert_eq!(g.frame_lens[0], 1514);
-        assert_eq!(g.frame_lens[1], 1514);
-        assert!(g.frame_lens[2] < 1514);
-        assert_eq!(g.wire_bytes, g.frame_lens.iter().sum::<usize>());
+        let lens = groups.frame_lens(g);
+        assert_eq!(lens[0], 1514);
+        assert_eq!(lens[1], 1514);
+        assert!(lens[2] < 1514);
+        assert_eq!(g.wire_bytes, lens.iter().sum::<u32>());
     }
 
     #[test]
@@ -314,6 +399,97 @@ mod tests {
         let groups = FragmentGroups::build(records.iter());
         assert_eq!(groups.groups().len(), 2);
         assert!(groups.groups().iter().all(|g| g.packets == 3));
+    }
+
+    /// Records `picks` of `records`, in that order.
+    fn pick(records: &[PacketRecord], picks: &[usize]) -> Vec<PacketRecord> {
+        picks.iter().map(|&i| records[i].clone()).collect()
+    }
+
+    #[test]
+    fn interleaved_groups_keep_their_frames_in_arrival_order() {
+        // Frames 0-2 are datagram 0, frames 3-5 datagram 1.
+        let records = pick(&records_for(&[3848, 3848], 50), &[0, 3, 1, 4, 5, 2]);
+        let groups = FragmentGroups::build(records.iter());
+        assert_eq!(groups.groups().len(), 2);
+        for (g, frames) in groups.groups().iter().zip([[0, 2, 5], [1, 3, 4]]) {
+            assert!(g.is_complete());
+            let times: Vec<f64> = frames.iter().map(|&i| records[i].time_secs()).collect();
+            let lens: Vec<u32> = frames.iter().map(|&i| records[i].wire_len as u32).collect();
+            assert_eq!(groups.frame_times(g), times);
+            assert_eq!(groups.frame_lens(g), lens);
+        }
+        assert_eq!(groups.incomplete_groups(), 0);
+    }
+
+    #[test]
+    fn completeness_is_decided_from_the_extents_not_the_order() {
+        let whole = records_for(&[3848], 0);
+        let cases: [(&[usize], bool); 6] = [
+            (&[0, 1, 2], true),    // in order
+            (&[2, 1, 0], true),    // reversed: final fragment first
+            (&[1, 0, 1, 2], true), // a duplicated fragment
+            (&[0, 2], false),      // hole in the middle
+            (&[1, 2], false),      // first fragment missing
+            (&[0, 1], false),      // final fragment missing
+        ];
+        for (picks, complete) in cases {
+            let groups = FragmentGroups::build(pick(&whole, picks).iter());
+            assert_eq!(groups.groups()[0].is_complete(), complete, "{picks:?}");
+            assert_eq!(
+                groups.incomplete_groups(),
+                usize::from(!complete),
+                "{picks:?}"
+            );
+        }
+        // Four fragments, the third lost: three frames, still holed.
+        let four = FragmentGroups::build(pick(&records_for(&[5000], 0), &[0, 1, 3]).iter());
+        assert_eq!(four.groups()[0].packets, 3);
+        assert!(!four.groups()[0].is_complete());
+        // Mixed in one capture: datagram 1 loses its final fragment,
+        // datagram 2 its middle one; datagrams 0 and 3 stay whole.
+        let records = records_for(&[3848, 3848, 3848, 800], 10);
+        let kept: Vec<usize> = (0..records.len()).filter(|i| ![5, 7].contains(i)).collect();
+        let groups = FragmentGroups::build(pick(&records, &kept).iter());
+        let complete: Vec<bool> = groups.groups().iter().map(Group::is_complete).collect();
+        assert_eq!(complete, [true, false, false, true]);
+        assert_eq!(groups.incomplete_groups(), 2);
+    }
+
+    fn media_records(player: PlayerId, id: u16, padding: usize) -> Vec<PacketRecord> {
+        use turb_wire::media::MediaHeader;
+        use turb_wire::udp::UdpDatagram;
+        let header = MediaHeader {
+            player,
+            sequence: u32::from(id),
+            frame_number: u32::from(id),
+            media_time_ms: 0,
+            buffering: false,
+        };
+        let udp = UdpDatagram::new(1755, 7000, header.encode_with_padding(padding))
+            .encode(SRC, DST)
+            .unwrap();
+        let packet = Ipv4Packet::new(SRC, DST, IpProtocol::Udp, id, udp);
+        fragment(packet, 1500)
+            .unwrap()
+            .iter()
+            .map(|f| PacketRecord::dissect(SimTime(u64::from(id) * 1_000_000), Direction::Rx, f))
+            .collect()
+    }
+
+    #[test]
+    fn player_groups_split_one_pass_by_media_header() {
+        let mut records = records_for(&[900], 0); // no media header: neither player
+        records.extend(media_records(PlayerId::RealPlayer, 1, 800));
+        records.extend(media_records(PlayerId::MediaPlayer, 2, 3800));
+        let view = PlayerGroups::build(records.iter());
+        let real = view.player(PlayerId::RealPlayer);
+        let wmp = view.player(PlayerId::MediaPlayer);
+        assert_eq!(real.groups().len(), 1);
+        assert_eq!(real.frame_lens(&real.groups()[0]).len(), 1);
+        assert_eq!(wmp.groups().len(), 1);
+        assert_eq!(wmp.frame_lens(&wmp.groups()[0]).len(), 3);
+        assert!(wmp.groups()[0].is_complete());
     }
 
     #[test]

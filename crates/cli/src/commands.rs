@@ -1272,8 +1272,7 @@ pub fn flowgen(flags: &Flags) -> Result<(), String> {
     };
     let result = turbulence::run_pair(&PairRunConfig::new(seed, set, pair));
     let model = turb_flowgen::TurbulenceModel::fit(
-        &result.capture,
-        result.server_addr,
+        turbulence::analysis::stream_groups(&result, player),
         player,
         clip.encoded_kbps,
     )

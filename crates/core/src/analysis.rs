@@ -1,23 +1,44 @@
 //! Shared analysis helpers over pair-run results.
 
 use crate::experiment::PairRunResult;
-use turb_capture::{Filter, FragmentGroups};
+use std::fmt;
+use std::sync::OnceLock;
+use turb_capture::{Filter, FragmentGroups, PlayerGroups};
 use turb_media::PlayerId;
 
-/// The fragment-group view of one player's stream within a run.
-pub fn stream_groups(run: &PairRunResult, player: PlayerId) -> FragmentGroups {
-    let records = run.capture.filtered(&Filter::stream_from(run.server_addr));
-    FragmentGroups::build(records).for_player(player)
+/// A run's fragment-group view, built at most once. Its `Debug` text
+/// is the same before and after the build, so nothing that formats a
+/// run depends on whether a figure has read it yet.
+#[derive(Default)]
+pub(crate) struct StreamView(OnceLock<PlayerGroups>);
+
+impl fmt::Debug for StreamView {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("StreamView")
+    }
+}
+
+/// The fragment-group view of one player's stream within a run. The
+/// first call groups both players' datagrams in one pass over the
+/// capture; every later call, from any figure, reads the same view.
+pub fn stream_groups(run: &PairRunResult, player: PlayerId) -> &FragmentGroups {
+    run.streams
+        .0
+        .get_or_init(|| {
+            let stream = Filter::stream_from(run.server_addr);
+            PlayerGroups::build(run.capture.records().iter().filter(|r| stream.matches(r)))
+        })
+        .player(player)
 }
 
 /// Wire packet sizes (bytes, Ethernet framing included) of one
 /// player's stream, fragments included — the paper's packet-size
 /// samples (Figures 6–7).
 pub fn wire_sizes(run: &PairRunResult, player: PlayerId) -> Vec<f64> {
-    stream_groups(run, player)
-        .groups()
+    let view = stream_groups(run, player);
+    view.groups()
         .iter()
-        .flat_map(|g| g.frame_lens.iter().map(|&l| l as f64))
+        .flat_map(|g| view.frame_lens(g).iter().map(|&l| f64::from(l)))
         .collect()
 }
 
@@ -31,7 +52,7 @@ pub fn datagram_sizes(run: &PairRunResult, player: PlayerId) -> Vec<f64> {
     stream_groups(run, player)
         .groups()
         .iter()
-        .map(|g| g.wire_bytes as f64)
+        .map(|g| f64::from(g.wire_bytes))
         .collect()
 }
 
@@ -39,10 +60,11 @@ pub fn datagram_sizes(run: &PairRunResult, player: PlayerId) -> Vec<f64> {
 /// player's stream, in arrival order.
 pub fn wire_times(run: &PairRunResult, player: PlayerId) -> Vec<f64> {
     let t0 = run.stream_start.as_secs_f64();
-    let mut times: Vec<f64> = stream_groups(run, player)
+    let view = stream_groups(run, player);
+    let mut times: Vec<f64> = view
         .groups()
         .iter()
-        .flat_map(|g| g.frame_times.iter().map(|&t| t - t0))
+        .flat_map(|g| view.frame_times(g).iter().map(|&t| t - t0))
         .collect();
     times.sort_by(f64::total_cmp);
     times

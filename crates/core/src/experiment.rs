@@ -5,6 +5,7 @@
 //! client, with Ethereal capturing at the client NIC, and `ping` /
 //! `tracert` before and after to verify the path did not change.
 
+use crate::analysis::StreamView;
 use crate::telemetry::{harvest, RunTelemetry};
 use std::net::Ipv4Addr;
 use turb_capture::{Capture, Sniffer};
@@ -191,6 +192,9 @@ pub struct PairRunResult {
     /// Telemetry harvested from the run, when
     /// [`PairRunConfig::telemetry`] was set.
     pub telemetry: Option<RunTelemetry>,
+    /// Both players' fragment-group views of the stream, built from
+    /// `capture` on first use by [`crate::analysis::stream_groups`].
+    pub(crate) streams: StreamView,
 }
 
 impl PairRunResult {
@@ -446,6 +450,7 @@ pub fn run_pair(config: &PairRunConfig) -> PairRunResult {
         configured_hops: site.hop_count,
         stream_start,
         telemetry,
+        streams: StreamView::default(),
     };
     result
 }

@@ -223,12 +223,12 @@ pub fn fig10_bandwidth_timeseries(corpus: &CorpusResult) -> Vec<Series> {
             continue;
         };
         for player in [PlayerId::RealPlayer, PlayerId::MediaPlayer] {
-            let groups = stream_groups(run, player);
+            let view = stream_groups(run, player);
             let t0 = run.stream_start.as_secs_f64();
             let mut ts = TimeSeries::new(1.0);
-            for g in groups.groups() {
-                for (t, len) in g.frame_times.iter().zip(&g.frame_lens) {
-                    ts.add((t - t0).max(0.0), *len as f64 * 8.0 / 1000.0);
+            for g in view.groups() {
+                for (t, &len) in view.frame_times(g).iter().zip(view.frame_lens(g)) {
+                    ts.add((t - t0).max(0.0), f64::from(len) * 8.0 / 1000.0);
                 }
             }
             series.push(Series {
@@ -397,8 +397,7 @@ pub fn sec4_flowgen_validation(
         for player in [PlayerId::RealPlayer, PlayerId::MediaPlayer] {
             let log = log_for(run, player);
             let Some(model) = turb_flowgen::TurbulenceModel::fit(
-                &run.capture,
-                run.server_addr,
+                stream_groups(run, player),
                 player,
                 log.clip.encoded_kbps,
             ) else {

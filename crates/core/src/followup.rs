@@ -251,15 +251,10 @@ pub fn run_egress_study(config: &EgressConfig) -> EgressResult {
         }
         out
     };
-    // Aggregate: media-bearing UDP crossing the egress toward clients.
-    let media = Filter::Udp.and(Filter::PortIs(7000));
-    let first_frag_or_whole = Filter::Udp.and(Filter::ContinuationFragments.negate());
-    let _ = first_frag_or_whole;
-    let records = capture_data.filtered(&media);
+    // Aggregate: UDP crossing the egress toward clients.
     let groups =
         FragmentGroups::build(capture_data.filtered(&Filter::Udp.and(Filter::direction_tx())));
-    let bytes: usize = groups.groups().iter().map(|g| g.wire_bytes).sum();
-    let _ = records;
+    let bytes: usize = groups.groups().iter().map(|g| g.wire_bytes as usize).sum();
     EgressResult {
         logs: logs.iter().map(|l| l.lock().unwrap().clone()).collect(),
         aggregate_kbps: bytes as f64 * 8.0 / config.observe_secs / 1000.0,

@@ -1,7 +1,6 @@
 //! Fitting a turbulence model from a capture.
 
-use std::net::Ipv4Addr;
-use turb_capture::{Capture, Filter, FragmentGroups};
+use turb_capture::FragmentGroups;
 use turb_stats::EmpiricalSampler;
 use turb_wire::media::PlayerId;
 
@@ -30,29 +29,18 @@ pub struct TurbulenceModel {
 }
 
 impl TurbulenceModel {
-    /// Fit from a client-side capture of one stream.
+    /// Fit from the fragment-group view of one player's captured
+    /// stream (the groups of one server's UDP stream that carry this
+    /// player's media headers, as the paper's simultaneous methodology
+    /// separates them).
     ///
-    /// `server` selects the stream; the capture may contain both
-    /// players' traffic (the paper's simultaneous methodology) plus
-    /// ping/tracert noise — everything else is filtered out.
-    ///
-    /// Returns `None` when the capture holds fewer than 16 datagrams
-    /// for the stream (not enough to estimate distributions).
+    /// Returns `None` when the view holds fewer than 16 datagrams (not
+    /// enough to estimate distributions).
     pub fn fit(
-        capture: &Capture,
-        server: Ipv4Addr,
+        groups: &FragmentGroups,
         player: PlayerId,
         encoded_kbps: f64,
     ) -> Option<TurbulenceModel> {
-        let stream = Filter::stream_from(server);
-        let records = capture.filtered(&stream);
-        if records.is_empty() {
-            return None;
-        }
-        // The paper's methodology streams both players from one server
-        // simultaneously: separate this player's datagrams by the media
-        // headers on first fragments.
-        let groups = FragmentGroups::build(records.iter().copied()).for_player(player);
         if groups.groups().len() < 16 {
             return None;
         }
@@ -78,7 +66,7 @@ impl TurbulenceModel {
         let sizes: Vec<f64> = groups
             .groups()
             .iter()
-            .map(|g| g.wire_bytes as f64)
+            .map(|g| f64::from(g.wire_bytes))
             .collect();
 
         // Steady-phase interarrivals between group leaders.
@@ -100,7 +88,7 @@ impl TurbulenceModel {
                     .groups()
                     .iter()
                     .filter(|g| (from..to).contains(&g.first_time))
-                    .map(|g| g.wire_bytes)
+                    .map(|g| g.wire_bytes as usize)
                     .sum();
                 bytes as f64 * 8.0 / (to - from).max(1e-9)
             };
@@ -132,7 +120,9 @@ impl TurbulenceModel {
 mod tests {
     use super::*;
 
+    use std::net::Ipv4Addr;
     use turb_capture::record::PacketRecord;
+    use turb_capture::PlayerGroups;
     use turb_netsim::{Direction, SimTime};
     use turb_wire::frag::fragment;
     use turb_wire::ipv4::{IpProtocol, Ipv4Packet};
@@ -142,10 +132,10 @@ mod tests {
     const SERVER: Ipv4Addr = Ipv4Addr::new(204, 71, 0, 33);
     const CLIENT: Ipv4Addr = Ipv4Addr::new(130, 215, 36, 10);
 
-    /// Build a synthetic capture: `n` datagrams of `payload` bytes,
-    /// `gap_ms` apart, the first `burst` of them flagged as buffering
-    /// and sent at half the gap.
-    fn capture_of(n: u32, payload: usize, gap_ms: f64, burst: u32) -> Capture {
+    /// The fragment-group view of a synthetic MediaPlayer stream: `n`
+    /// datagrams of `payload` bytes, `gap_ms` apart, the first `burst`
+    /// of them flagged as buffering and sent at half the gap.
+    fn view_of(n: u32, payload: usize, gap_ms: f64, burst: u32) -> PlayerGroups {
         let mut records = Vec::new();
         let mut t = 0.0f64;
         for seq in 0..n {
@@ -171,27 +161,18 @@ mod tests {
             }
             t += if buffering { gap_ms / 2.0 } else { gap_ms } / 1000.0;
         }
-        let mut capture = Capture::default();
-        for r in records {
-            capture_push(&mut capture, r);
-        }
-        capture
+        PlayerGroups::build(records.iter())
     }
 
-    /// Capture has no public push; round-trip through the sniffer
-    /// internals by rebuilding from records via pcap would be heavy, so
-    /// this helper uses the fact that Capture is constructible in-crate
-    /// only. Instead we re-dissect through a private-like accessor —
-    /// provided by Capture::default + extend below.
-    fn capture_push(capture: &mut Capture, r: PacketRecord) {
-        capture.push_record(r);
+    fn fit_wmp(view: &PlayerGroups, encoded_kbps: f64) -> Option<TurbulenceModel> {
+        let player = PlayerId::MediaPlayer;
+        TurbulenceModel::fit(view.player(player), player, encoded_kbps)
     }
 
     #[test]
     fn fit_recovers_the_configured_flow_shape() {
         // 200 datagrams of ~3 KB, 100 ms apart, first 40 at double rate.
-        let capture = capture_of(200, 3000, 100.0, 40);
-        let model = TurbulenceModel::fit(&capture, SERVER, PlayerId::MediaPlayer, 250.0).unwrap();
+        let model = fit_wmp(&view_of(200, 3000, 100.0, 40), 250.0).unwrap();
         // Every datagram is ~3 KB + headers on the wire.
         let mid_size = model.datagram_sizes.sample(0.5);
         assert!((3000.0..3200.0).contains(&mid_size), "size = {mid_size}");
@@ -211,24 +192,21 @@ mod tests {
 
     #[test]
     fn fit_reports_no_burst_when_none_was_flagged() {
-        let capture = capture_of(100, 800, 120.0, 0);
-        let model = TurbulenceModel::fit(&capture, SERVER, PlayerId::MediaPlayer, 50.0).unwrap();
+        let model = fit_wmp(&view_of(100, 800, 120.0, 0), 50.0).unwrap();
         assert_eq!(model.buffering_ratio, 1.0);
         assert_eq!(model.fragment_fraction, 0.0);
     }
 
     #[test]
     fn fit_needs_enough_data() {
-        let capture = capture_of(5, 800, 100.0, 0);
-        assert!(TurbulenceModel::fit(&capture, SERVER, PlayerId::MediaPlayer, 50.0).is_none());
-        let empty = Capture::default();
-        assert!(TurbulenceModel::fit(&empty, SERVER, PlayerId::MediaPlayer, 50.0).is_none());
+        assert!(fit_wmp(&view_of(5, 800, 100.0, 0), 50.0).is_none());
+        assert!(fit_wmp(&PlayerGroups::default(), 50.0).is_none());
     }
 
     #[test]
-    fn fit_filters_by_server_address() {
-        let capture = capture_of(100, 800, 100.0, 0);
-        let other = Ipv4Addr::new(1, 2, 3, 4);
-        assert!(TurbulenceModel::fit(&capture, other, PlayerId::MediaPlayer, 50.0).is_none());
+    fn fit_reads_only_the_given_players_groups() {
+        let view = view_of(100, 800, 100.0, 0);
+        let real = PlayerId::RealPlayer;
+        assert!(TurbulenceModel::fit(view.player(real), real, 50.0).is_none());
     }
 }

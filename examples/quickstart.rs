@@ -68,16 +68,14 @@ fn main() {
     }
 
     println!("\n-- what the sniffer saw (§3.C-§3.E) --");
-    use turb_capture::{Filter, FragmentGroups};
+    use turb_capture::{Filter, PlayerGroups};
     let stream = Filter::stream_from(result.server_addr);
-    let records = result.capture.filtered(&stream);
-    let groups = FragmentGroups::build(records);
+    let view = PlayerGroups::build(result.capture.filtered(&stream));
     for player in [
         turb_media::PlayerId::RealPlayer,
         turb_media::PlayerId::MediaPlayer,
     ] {
-        let g = groups.for_player(player);
-        let stats = g.stats();
+        let stats = view.player(player).stats();
         println!(
             "{:>7}: {} wire packets in {} datagrams, {:.0}% IP fragments",
             player.label(),

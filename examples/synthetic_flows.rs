@@ -11,6 +11,7 @@
 //! ```
 
 use std::net::Ipv4Addr;
+use turb_capture::{Filter, PlayerGroups};
 use turb_flowgen::{validate_against_model, FlowGenerator, SyntheticFlowApp, TurbulenceModel};
 use turb_media::{corpus, PlayerId, RateClass};
 use turb_netsim::prelude::*;
@@ -25,18 +26,17 @@ fn main() {
         pair.wmp.name()
     );
     let result = run_pair(&PairRunConfig::new(42, 1, pair));
+    // Ethereal's per-stream view of the capture, split by player.
+    let stream = Filter::stream_from(result.server_addr);
+    let view = PlayerGroups::build(result.capture.filtered(&stream));
 
     for player in [PlayerId::RealPlayer, PlayerId::MediaPlayer] {
         let log = match player {
             PlayerId::RealPlayer => &result.real,
             PlayerId::MediaPlayer => &result.wmp,
         };
-        let Some(model) = TurbulenceModel::fit(
-            &result.capture,
-            result.server_addr,
-            player,
-            log.clip.encoded_kbps,
-        ) else {
+        let Some(model) = TurbulenceModel::fit(view.player(player), player, log.clip.encoded_kbps)
+        else {
             println!("{}: not enough data to fit", player.label());
             continue;
         };

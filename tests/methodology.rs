@@ -1,8 +1,10 @@
 //! Cross-crate methodology tests: determinism, capture export,
 //! model-fit round trips, and route-check behaviour.
 
+use turb_capture::record::PacketRecord;
+use turb_capture::{Capture, Filter, FragmentGroups, PlayerGroups};
 use turb_media::{corpus, PlayerId, RateClass};
-use turbulence::{run_pair, PairRunConfig};
+use turbulence::{analysis, run_pair, PairRunConfig, PairRunResult};
 
 fn short_config(seed: u64) -> PairRunConfig {
     let sets = corpus::table1();
@@ -58,16 +60,11 @@ fn capture_exports_to_pcap_and_back() {
     }
 }
 
-#[test]
-fn capture_rebuilt_from_pcap_yields_the_same_analysis() {
-    use turb_capture::record::PacketRecord;
-    use turb_capture::{Capture, Filter, FragmentGroups};
-    let result = run_pair(&short_config(44));
+/// A capture rebuilt from the run's pcap export alone (direction is
+/// lost in the file; reconstruct it from the client address).
+fn rebuilt_from_pcap(result: &PairRunResult) -> Capture {
     let mut buf = Vec::new();
     turb_capture::pcap::write_pcap(&mut buf, result.capture.records()).unwrap();
-
-    // Rebuild a capture from the pcap alone (direction is lost in the
-    // file; reconstruct it from the client address).
     let mut rebuilt = Capture::default();
     for p in turb_capture::pcap::read_pcap(&mut buf.as_slice()).unwrap() {
         let (t, ip) = turb_capture::pcap::decode_packet(&p).expect("decodes");
@@ -78,6 +75,13 @@ fn capture_rebuilt_from_pcap_yields_the_same_analysis() {
         };
         rebuilt.push_record(PacketRecord::dissect(t, direction, &ip));
     }
+    rebuilt
+}
+
+#[test]
+fn capture_rebuilt_from_pcap_yields_the_same_analysis() {
+    let result = run_pair(&short_config(44));
+    let rebuilt = rebuilt_from_pcap(&result);
     let stream = Filter::stream_from(result.server_addr);
     let original = FragmentGroups::build(result.capture.filtered(&stream)).stats();
     let roundtrip = FragmentGroups::build(rebuilt.filtered(&stream)).stats();
@@ -87,34 +91,40 @@ fn capture_rebuilt_from_pcap_yields_the_same_analysis() {
 #[test]
 fn fitted_models_survive_the_pcap_round_trip() {
     let result = run_pair(&short_config(55));
-    let direct = turb_flowgen::TurbulenceModel::fit(
-        &result.capture,
-        result.server_addr,
-        PlayerId::MediaPlayer,
-        result.wmp.clip.encoded_kbps,
-    )
-    .expect("fit");
+    let player = PlayerId::MediaPlayer;
+    let fit = |groups| {
+        turb_flowgen::TurbulenceModel::fit(groups, player, result.wmp.clip.encoded_kbps)
+            .expect("fit")
+    };
+    let direct = fit(analysis::stream_groups(&result, player));
+    let stream = Filter::stream_from(result.server_addr);
+    let view = PlayerGroups::build(rebuilt_from_pcap(&result).filtered(&stream));
+    let roundtrip = fit(view.player(player));
     // The WMP low-rate clip: constant sizes, no fragments, and a
     // measured buffering ratio of ≈1 ("MediaPlayer always buffers at
     // the same rate as it plays back").
-    assert_eq!(direct.fragment_fraction, 0.0);
+    assert_eq!(roundtrip.fragment_fraction, 0.0);
+    assert_eq!(roundtrip.fragment_fraction, direct.fragment_fraction);
     assert!(
-        (direct.buffering_ratio - 1.0).abs() < 0.05,
+        (roundtrip.buffering_ratio - 1.0).abs() < 0.05,
         "ratio = {}",
-        direct.buffering_ratio
+        roundtrip.buffering_ratio
     );
     // Set 2 low = 102.3 Kbit/s: 100 ms units of ≈1279 B + 42 B of
     // headers ⇒ ≈1321 B on the wire, constant.
-    let median = direct.datagram_sizes.sample(0.5);
+    let median = roundtrip.datagram_sizes.sample(0.5);
     assert!(
         (1300.0..=1340.0).contains(&median),
         "median size = {median}"
     );
+    assert_eq!(median, direct.datagram_sizes.sample(0.5));
+    // pcap keeps microseconds; the simulation keeps nanoseconds.
+    let gap = |m: &turb_flowgen::TurbulenceModel| m.interarrivals.sample(0.5);
+    assert!((gap(&roundtrip) - gap(&direct)).abs() < 2e-6);
 }
 
 #[test]
 fn trackers_agree_with_the_sniffer_on_byte_counts() {
-    use turb_capture::Filter;
     let result = run_pair(&short_config(66));
     // Bytes the tracker logged = UDP payload bytes the sniffer saw for
     // that stream (per-datagram, so reassemble via groups).
