@@ -703,14 +703,15 @@ fn lineage_lifecycle(rng: &mut CheckRng) -> Result<(), String> {
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
 
     let dump = sim.take_lineage().ok_or("lineage dump missing")?;
-    dump.validate()?;
+    let view = dump.span_view();
+    view.validate()?;
     if dump.dropped != 0 {
         return fail(format!("recorder evicted {} events", dump.dropped));
     }
     if dump.origins.is_empty() {
         return fail("no spans recorded for a sending run".to_string());
     }
-    let (played, completed, dropped, truncated) = dump.outcome_counts();
+    let (played, completed, dropped, truncated) = view.outcome_counts();
     if played + completed + dropped + truncated != dump.origins.len() as u64 {
         return fail(format!(
             "outcomes {played}+{completed}+{dropped}+{truncated} do not cover {} spans",

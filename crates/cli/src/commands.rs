@@ -814,13 +814,13 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
             .expect("sampled sessions carry lineage");
         println!("\n## session {sid} lineage timeline");
         let mut printed = 0usize;
-        for tl in lin.reconstruct() {
+        for tl in lin.span_view().spans() {
             let origin = &lin.origins[tl.span as usize];
             let meta = match origin.meta {
                 Some(meta) if meta.sequence == sid => meta,
                 _ => continue,
             };
-            let outcome = match tl.outcome {
+            let outcome = match tl.outcome() {
                 SpanOutcome::Dropped(cause) => format!("dropped:{}", cause.label()),
                 other => other.label().to_string(),
             };
@@ -836,7 +836,7 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
                 tl.hops(),
                 outcome,
             );
-            for ev in &tl.events {
+            for ev in tl.events() {
                 println!(
                     "      {:>10.3} ms  {:<11} {}",
                     ev.time_ns as f64 / 1e6,
@@ -1536,13 +1536,14 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
             .lineage
             .as_ref()
             .expect("lineage was requested for this run");
-        dump.validate()
+        let view = dump.span_view();
+        view.validate()
             .map_err(|e| format!("{label}: lineage dump inconsistent: {e}"))?;
 
         spans += dump.origins.len() as u64;
         events += dump.events.len() as u64;
         ring_dropped += dump.dropped;
-        let (p, c, d, t) = dump.outcome_counts();
+        let (p, c, d, t) = view.outcome_counts();
         outcomes = (
             outcomes.0 + p,
             outcomes.1 + c,
@@ -1555,13 +1556,13 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
             dump.events.len(),
         );
 
-        let run = lineage::stage_samples(dump);
+        let run = view.stage_samples();
         samples.hop_ns.extend(run.hop_ns);
         samples.reasm_ns.extend(run.reasm_ns);
         samples.residency_ns.extend(run.residency_ns);
         samples.e2e_ns.extend(run.e2e_ns);
 
-        for tl in dump.reconstruct() {
+        for tl in view.spans() {
             let origin = &dump.origins[tl.span as usize];
             let Some(meta) = origin.meta else { continue };
             let Some(end) = tl
@@ -1570,7 +1571,7 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
             else {
                 continue;
             };
-            let outcome = match tl.outcome {
+            let outcome = match tl.outcome() {
                 SpanOutcome::Dropped(cause) => format!("dropped:{}", cause.label()),
                 other => other.label().to_string(),
             };

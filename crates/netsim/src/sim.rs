@@ -2107,10 +2107,9 @@ mod tests {
         let dump = sim.take_lineage().expect("lineage was enabled");
         dump.validate().expect("dump is well-formed");
         assert_eq!(dump.origins.len(), 2, "ping and pong each get a span");
-        let timelines = dump.reconstruct();
-        for tl in &timelines {
-            assert!(matches!(tl.outcome, turb_obs::SpanOutcome::Completed));
-            let stages: Vec<_> = tl.events.iter().map(|e| e.stage).collect();
+        for tl in dump.span_view().spans() {
+            assert!(matches!(tl.outcome(), turb_obs::SpanOutcome::Completed));
+            let stages: Vec<_> = tl.events().map(|e| e.stage).collect();
             use turb_obs::Stage as S;
             assert!(stages.contains(&S::Sent));
             assert!(stages.contains(&S::LinkTx));
@@ -2212,19 +2211,16 @@ mod tests {
             (7, 42, 1234)
         );
         use turb_obs::Stage as S;
-        let tl = &dump.reconstruct()[0];
+        let view = dump.span_view();
+        let tl = view.span(0);
         let frag = tl
-            .events
-            .iter()
+            .events()
             .find(|e| matches!(e.stage, S::Fragmented))
             .expect("4000B over a 1500B MTU fragments");
         assert_eq!(frag.aux, 3, "three fragments");
-        assert!(tl.events.iter().any(|e| matches!(e.stage, S::Reassembled)));
+        assert!(tl.events().any(|e| matches!(e.stage, S::Reassembled)));
         assert_eq!(
-            tl.events
-                .iter()
-                .filter(|e| matches!(e.stage, S::LinkTx))
-                .count(),
+            tl.events().filter(|e| matches!(e.stage, S::LinkTx)).count(),
             3,
             "each fragment records its own link transmission"
         );

@@ -668,7 +668,7 @@ mod tests {
     fn scale_scenario_needs_no_randomness() {
         // Two sims with different seeds produce identical traffic:
         // the scenario is a pure function of its config.
-        let totals: Vec<u64> = [3u64, 400]
+        let totals: Vec<(u64, u64)> = [3u64, 400]
             .iter()
             .map(|&seed| {
                 let mut sim = Simulation::new(seed);
@@ -684,9 +684,15 @@ mod tests {
                     },
                 );
                 sim.run_to_idle(crate::time::SimTime::ZERO + SimDuration::from_secs(10));
-                sim.sim_stats().events_processed
+                let delivered: u64 = scenario
+                    .sinks
+                    .iter()
+                    .map(|s| s.lock().unwrap().datagrams)
+                    .sum();
+                (sim.sim_stats().events_processed, delivered)
             })
             .collect();
+        assert!(totals[0].1 > 0);
         assert_eq!(totals[0], totals[1]);
     }
 

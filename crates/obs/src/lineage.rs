@@ -383,54 +383,94 @@ impl SpanOutcome {
     }
 }
 
-/// One span's reconstructed life: its events in time order plus the
-/// derived terminal outcome.
-#[derive(Debug, Clone)]
-pub struct SpanTimeline {
-    /// The span id.
-    pub span: u64,
-    /// This span's events, in recorded (= sim time) order.
-    pub events: Vec<LineageEvent>,
-    /// Terminal classification.
-    pub outcome: SpanOutcome,
-}
-
-impl SpanTimeline {
-    /// Time of the first event matching `pred`, if any.
-    pub fn first_time(&self, pred: impl Fn(Stage) -> bool) -> Option<u64> {
-        self.events
-            .iter()
-            .find(|e| pred(e.stage))
-            .map(|e| e.time_ns)
-    }
-
-    /// Hops taken: the number of link arrivals recorded.
-    pub fn hops(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.stage == Stage::Arrived)
-            .count()
-    }
-}
-
-fn classify(events: &[LineageEvent]) -> SpanOutcome {
+/// Outcome of one span's events in recorded order: the first `Played`
+/// wins, then any `Delivered`, then the first fatal drop.
+fn classify<'e>(events: impl Iterator<Item = &'e LineageEvent>) -> SpanOutcome {
     let mut first_fatal = None;
+    let mut delivered = false;
     for ev in events {
         match ev.stage {
             Stage::Played => return SpanOutcome::Played,
+            Stage::Delivered => delivered = true,
             Stage::Dropped(cause) if cause.fatal() && first_fatal.is_none() => {
                 first_fatal = Some(cause);
             }
             _ => {}
         }
     }
-    if events.iter().any(|e| e.stage == Stage::Delivered) {
-        return SpanOutcome::Completed;
+    match (delivered, first_fatal) {
+        (true, _) => SpanOutcome::Completed,
+        (false, Some(cause)) => SpanOutcome::Dropped(cause),
+        (false, None) => SpanOutcome::Truncated,
     }
-    match first_fatal {
-        Some(cause) => SpanOutcome::Dropped(cause),
-        None => SpanOutcome::Truncated,
+}
+
+/// The order every dump's events are kept in.
+fn event_key(ev: &LineageEvent) -> (u64, u64) {
+    (ev.time_ns, ev.span)
+}
+
+/// Map every element of `v` through `map`, then stable-sort `v` by
+/// `key`, in linear time when the mapped elements are nearly sorted.
+///
+/// One pass maps each element and keeps the greedy non-decreasing run
+/// in place at the front, setting the rest (the "late" elements)
+/// aside; only those are sorted, and they are merged back from the
+/// end. A kept element whose key equals a late one's always came first
+/// (anything after the late element that was kept has a strictly
+/// greater key), so on ties the kept element goes first and the result
+/// equals a stable sort.
+fn map_sort_nearly_sorted<T: Copy, K: Ord>(
+    v: &mut [T],
+    mut map: impl FnMut(T) -> T,
+    key: impl Fn(&T) -> K,
+) {
+    let mut late: Vec<T> = Vec::new();
+    let mut kept = 0;
+    for i in 0..v.len() {
+        let x = map(v[i]);
+        if kept > 0 && key(&x) < key(&v[kept - 1]) {
+            late.push(x);
+        } else {
+            v[kept] = x;
+            kept += 1;
+        }
     }
+    late.sort_by_key(&key);
+    let (mut i, mut w) = (kept, v.len());
+    while let Some(&x) = late.last() {
+        w -= 1;
+        if i > 0 && key(&v[i - 1]) > key(&x) {
+            v[w] = v[i - 1];
+            i -= 1;
+        } else {
+            v[w] = x;
+            late.pop();
+        }
+    }
+}
+
+/// Merge event lists that are each in [`event_key`] order into one;
+/// ties go to the lower part, so the result equals a stable sort of
+/// the parts concatenated in order.
+fn merge_sorted_parts(parts: &[Vec<LineageEvent>]) -> Vec<LineageEvent> {
+    let total = parts.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total);
+    let mut heads = vec![0usize; parts.len()];
+    while out.len() < total {
+        let mut best: Option<(usize, &LineageEvent)> = None;
+        for (p, events) in parts.iter().enumerate() {
+            if let Some(ev) = events.get(heads[p]) {
+                if best.is_none_or(|(_, b)| event_key(ev) < event_key(b)) {
+                    best = Some((p, ev));
+                }
+            }
+        }
+        let (p, ev) = best.expect("an unmerged event remains");
+        out.push(*ev);
+        heads[p] += 1;
+    }
+    out
 }
 
 impl LineageDump {
@@ -451,10 +491,18 @@ impl LineageDump {
     /// (ties keep each component's own birth order — a component's
     /// spans are all born in one domain, so this is well defined);
     /// events are remapped onto the new span and component ids and
-    /// sorted by `(time, span)`. The result is a pure function of the
-    /// simulated behaviour, independent of how the topology was
+    /// stably sorted by `(time, span)`. The result is a pure function
+    /// of the simulated behaviour, independent of how the topology was
     /// partitioned — which is exactly what lets a sharded run's dump
     /// compare byte-identical against a sequential run's.
+    ///
+    /// Each part's events are remapped in place. A recorder emits them
+    /// almost in canonical order (late `Played` events, stamped with
+    /// their earlier playout deadline, and same-instant events of
+    /// renumbered spans are the exceptions), so the sort only sorts
+    /// those few and merges them back linearly. A single part's event
+    /// list becomes the dump's, shrunk to its length; several parts
+    /// are merged into one list of exact capacity.
     pub fn merge_domains(parts: Vec<LineageDump>) -> LineageDump {
         // Union the component names, sorted.
         let mut components: Vec<String> = parts
@@ -490,7 +538,7 @@ impl LineageDump {
                 ));
             }
         }
-        order.sort_by_key(|&(t, c, part, _)| (t, c, part));
+        map_sort_nearly_sorted(&mut order, |o| o, |&(t, c, part, _)| (t, c, part));
         let mut span_maps: Vec<Vec<u64>> = parts.iter().map(|p| vec![0; p.origins.len()]).collect();
         let mut origins = Vec::with_capacity(order.len());
         for (new_id, &(_, new_comp, part, local)) in order.iter().enumerate() {
@@ -505,20 +553,30 @@ impl LineageDump {
         // recorder than the one that allocated its span, so the origin
         // part is decoded from the span id, while the component id is
         // resolved against the recording part's own symbol table.
-        let mut events: Vec<LineageEvent> = Vec::new();
-        let mut dropped = 0u64;
-        for (part, p) in parts.iter().enumerate() {
-            dropped += p.dropped;
-            for ev in &p.events {
-                let origin_part = (ev.span >> SPAN_DOMAIN_SHIFT) as usize;
-                let local = (ev.span & SPAN_LOCAL_MASK) as usize;
-                let mut ev = *ev;
-                ev.span = span_maps[origin_part][local];
-                ev.comp = SymbolId(comp_maps[part][ev.comp.index()]);
-                events.push(ev);
-            }
-        }
-        events.sort_by_key(|ev| (ev.time_ns, ev.span));
+        let dropped = parts.iter().map(|p| p.dropped).sum();
+        let mut part_events: Vec<Vec<LineageEvent>> = parts
+            .into_iter()
+            .zip(&comp_maps)
+            .map(|(p, comp_map)| {
+                let mut events = p.events;
+                let remap = |mut ev: LineageEvent| {
+                    let origin_part = (ev.span >> SPAN_DOMAIN_SHIFT) as usize;
+                    let local = (ev.span & SPAN_LOCAL_MASK) as usize;
+                    ev.span = span_maps[origin_part][local];
+                    ev.comp = SymbolId(comp_map[ev.comp.index()]);
+                    ev
+                };
+                map_sort_nearly_sorted(&mut events, remap, event_key);
+                events
+            })
+            .collect();
+        let events = if part_events.len() == 1 {
+            let mut events = part_events.pop().expect("one part");
+            events.shrink_to_fit();
+            events
+        } else {
+            merge_sorted_parts(&part_events)
+        };
 
         LineageDump {
             origins,
@@ -528,56 +586,158 @@ impl LineageDump {
         }
     }
 
-    /// Rebuild every span's timeline, in span-id order.
-    pub fn reconstruct(&self) -> Vec<SpanTimeline> {
-        let mut per_span: Vec<Vec<LineageEvent>> = vec![Vec::new(); self.origins.len()];
-        for ev in &self.events {
-            if let Some(bucket) = per_span.get_mut(ev.span as usize) {
-                bucket.push(*ev);
+    /// Group the events by span; see [`SpanView`].
+    pub fn span_view(&self) -> SpanView<'_> {
+        SpanView::new(self)
+    }
+
+    /// Check the lifecycle invariants; see [`SpanView::validate`].
+    pub fn validate(&self) -> Result<(), String> {
+        self.span_view().validate()
+    }
+
+    /// Count spans per terminal outcome; see
+    /// [`SpanView::outcome_counts`].
+    pub fn outcome_counts(&self) -> (u64, u64, u64, u64) {
+        self.span_view().outcome_counts()
+    }
+}
+
+/// Every span's events, grouped: a compressed-sparse-row index over a
+/// dump, built by one counting sort and no per-span allocation. Span
+/// `s`'s events are `dump.events[order[i]]` for `i` in
+/// `starts[s]..starts[s + 1]`, in recorded (= sim time) order. Events
+/// naming a span the dump has no origin for belong to no span.
+///
+/// Build it once per dump and read every per-span analysis from it:
+/// [`SpanView::validate`], [`SpanView::outcome_counts`],
+/// [`SpanView::stage_samples`], [`SpanView::spans`].
+#[derive(Debug, Clone)]
+pub struct SpanView<'a> {
+    dump: &'a LineageDump,
+    starts: Vec<u32>,
+    order: Vec<u32>,
+}
+
+/// One span's life, borrowed from a [`SpanView`].
+#[derive(Debug, Clone, Copy)]
+pub struct SpanTimeline<'a> {
+    /// The span id.
+    pub span: u64,
+    events: &'a [LineageEvent],
+    order: &'a [u32],
+}
+
+impl<'a> SpanTimeline<'a> {
+    /// This span's events, in recorded (= sim time) order.
+    pub fn events(&self) -> impl Iterator<Item = &'a LineageEvent> + 'a {
+        let events = self.events;
+        self.order.iter().map(move |&i| &events[i as usize])
+    }
+
+    /// Terminal classification: the first `Played` wins, then any
+    /// `Delivered`, then the first fatal drop, else truncated.
+    pub fn outcome(&self) -> SpanOutcome {
+        classify(self.events())
+    }
+
+    /// Time of the first event matching `pred`, if any.
+    pub fn first_time(&self, pred: impl Fn(Stage) -> bool) -> Option<u64> {
+        self.events().find(|e| pred(e.stage)).map(|e| e.time_ns)
+    }
+
+    /// Hops taken: the number of link arrivals recorded.
+    pub fn hops(&self) -> usize {
+        self.events().filter(|e| e.stage == Stage::Arrived).count()
+    }
+}
+
+impl<'a> SpanView<'a> {
+    /// Group `dump`'s events by span.
+    pub fn new(dump: &'a LineageDump) -> SpanView<'a> {
+        let spans = dump.origins.len();
+        assert!(
+            dump.events.len() <= u32::MAX as usize,
+            "span view indexes events with u32"
+        );
+        let mut starts = vec![0u32; spans + 1];
+        for ev in &dump.events {
+            if ev.span < spans as u64 {
+                starts[ev.span as usize + 1] += 1;
             }
         }
-        per_span
-            .into_iter()
-            .enumerate()
-            .map(|(span, events)| {
-                let outcome = classify(&events);
-                SpanTimeline {
-                    span: span as u64,
-                    events,
-                    outcome,
-                }
-            })
-            .collect()
+        for s in 0..spans {
+            starts[s + 1] += starts[s];
+        }
+        let mut next = starts[..spans].to_vec();
+        let mut order = vec![0u32; starts[spans] as usize];
+        for (i, ev) in dump.events.iter().enumerate() {
+            if ev.span < spans as u64 {
+                let slot = &mut next[ev.span as usize];
+                order[*slot as usize] = i as u32;
+                *slot += 1;
+            }
+        }
+        SpanView {
+            dump,
+            starts,
+            order,
+        }
+    }
+
+    /// Number of spans (the dump's origin count).
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// True when the dump has no span.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Span `span`'s timeline. Panics past [`SpanView::len`].
+    pub fn span(&self, span: usize) -> SpanTimeline<'_> {
+        let range = self.starts[span] as usize..self.starts[span + 1] as usize;
+        SpanTimeline {
+            span: span as u64,
+            events: &self.dump.events,
+            order: &self.order[range],
+        }
+    }
+
+    /// Every span's timeline, in span-id order.
+    pub fn spans(&self) -> impl Iterator<Item = SpanTimeline<'_>> + '_ {
+        (0..self.len()).map(move |s| self.span(s))
     }
 
     /// Check the lifecycle invariants the `turb-check` property relies
     /// on: every event references a real span and component, per-span
     /// event times are monotone (and never precede the span's birth),
-    /// playout follows buffering, and each span classifies into
-    /// exactly one terminal outcome.
+    /// each span begins with `Sent`, and it is buffered and played at
+    /// most once, never played unbuffered.
     pub fn validate(&self) -> Result<(), String> {
-        for ev in &self.events {
-            if ev.span as usize >= self.origins.len() {
+        let dump = self.dump;
+        for ev in &dump.events {
+            if ev.span as usize >= dump.origins.len() {
                 return Err(format!("event references unknown span {}", ev.span));
             }
-            if ev.comp.index() >= self.components.len() {
+            if ev.comp.index() >= dump.components.len() {
                 return Err(format!("event references unknown component {}", ev.comp.0));
             }
         }
-        for origin in &self.origins {
-            if origin.comp.index() >= self.components.len() {
+        for origin in &dump.origins {
+            if origin.comp.index() >= dump.components.len() {
                 return Err(format!(
                     "origin references unknown component {}",
                     origin.comp.0
                 ));
             }
         }
-        for tl in self.reconstruct() {
-            let origin = &self.origins[tl.span as usize];
-            let mut prev = origin.time_ns;
+        for tl in self.spans() {
+            let mut prev = dump.origins[tl.span as usize].time_ns;
             let mut buffered = 0u64;
             let mut played = 0u64;
-            for ev in &tl.events {
+            for ev in tl.events() {
                 if ev.time_ns < prev {
                     return Err(format!(
                         "span {} time went backwards at {:?}: {} < {}",
@@ -600,9 +760,9 @@ impl LineageDump {
             if played > buffered {
                 return Err(format!("span {} played without buffering", tl.span));
             }
-            match (tl.events.first().map(|e| e.stage), tl.outcome) {
-                (Some(Stage::Sent), _) => {}
-                (first, _) => {
+            match tl.events().next().map(|e| e.stage) {
+                Some(Stage::Sent) => {}
+                first => {
                     return Err(format!(
                         "span {} does not begin with Sent (first: {first:?})",
                         tl.span
@@ -617,8 +777,8 @@ impl LineageDump {
     /// `(played, completed, dropped, truncated)`.
     pub fn outcome_counts(&self) -> (u64, u64, u64, u64) {
         let (mut p, mut c, mut d, mut t) = (0, 0, 0, 0);
-        for tl in self.reconstruct() {
-            match tl.outcome {
+        for tl in self.spans() {
+            match tl.outcome() {
                 SpanOutcome::Played => p += 1,
                 SpanOutcome::Completed => c += 1,
                 SpanOutcome::Dropped(_) => d += 1,
@@ -626,6 +786,58 @@ impl LineageDump {
             }
         }
         (p, c, d, t)
+    }
+
+    /// Per-stage latency samples; see [`stage_samples`]. Hops are
+    /// paired FIFO per (span, fragment offset), so interleaved
+    /// fragments of one datagram measure their own link traversals.
+    pub fn stage_samples(&self) -> StageSamples {
+        let mut samples = StageSamples::default();
+        // (fragment offset, link_tx time) not yet matched by an
+        // arrival, oldest first — a handful per span.
+        let mut pending: Vec<(u32, u64)> = Vec::new();
+        for tl in self.spans() {
+            pending.clear();
+            let mut fragged: Option<u64> = None;
+            let mut buffered: Option<u64> = None;
+            let mut delivered: Option<u64> = None;
+            for ev in tl.events() {
+                match ev.stage {
+                    Stage::LinkTx => pending.push((ev.aux, ev.time_ns)),
+                    Stage::Arrived => {
+                        if let Some(i) = pending.iter().position(|&(off, _)| off == ev.aux) {
+                            let (_, sent) = pending.remove(i);
+                            samples.hop_ns.push((ev.time_ns - sent) as f64);
+                        }
+                    }
+                    Stage::Fragmented => {
+                        fragged.get_or_insert(ev.time_ns);
+                    }
+                    Stage::Reassembled => {
+                        if let Some(t0) = fragged {
+                            samples.reasm_ns.push((ev.time_ns - t0) as f64);
+                        }
+                    }
+                    Stage::Buffered => {
+                        buffered.get_or_insert(ev.time_ns);
+                    }
+                    Stage::Played => {
+                        if let Some(t0) = buffered {
+                            samples.residency_ns.push((ev.time_ns - t0) as f64);
+                        }
+                    }
+                    Stage::Delivered => {
+                        delivered.get_or_insert(ev.time_ns);
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(end) = buffered.or(delivered) {
+                let born = self.dump.origins[tl.span as usize].time_ns;
+                samples.e2e_ns.push((end - born) as f64);
+            }
+        }
+        samples
     }
 }
 
@@ -643,59 +855,11 @@ pub struct StageSamples {
     pub e2e_ns: Vec<f64>,
 }
 
-/// Extract per-stage latency samples from a dump. Hops are paired
-/// FIFO per (span, fragment offset), so interleaved fragments of one
-/// datagram measure their own link traversals.
+/// Extract per-stage latency samples from a dump. Builds a
+/// [`SpanView`]; callers that already hold one use
+/// [`SpanView::stage_samples`].
 pub fn stage_samples(dump: &LineageDump) -> StageSamples {
-    let mut samples = StageSamples::default();
-    for tl in dump.reconstruct() {
-        // (offset, pending link_tx times) — a handful per span.
-        let mut pending: Vec<(u32, Vec<u64>)> = Vec::new();
-        let mut fragged: Option<u64> = None;
-        let mut buffered: Option<u64> = None;
-        for ev in &tl.events {
-            match ev.stage {
-                Stage::LinkTx => match pending.iter_mut().find(|(off, _)| *off == ev.aux) {
-                    Some((_, q)) => q.push(ev.time_ns),
-                    None => pending.push((ev.aux, vec![ev.time_ns])),
-                },
-                Stage::Arrived => {
-                    if let Some((_, q)) = pending.iter_mut().find(|(off, _)| *off == ev.aux) {
-                        if !q.is_empty() {
-                            samples.hop_ns.push((ev.time_ns - q.remove(0)) as f64);
-                        }
-                    }
-                }
-                Stage::Fragmented => {
-                    fragged.get_or_insert(ev.time_ns);
-                }
-                Stage::Reassembled => {
-                    if let Some(t0) = fragged {
-                        samples.reasm_ns.push((ev.time_ns - t0) as f64);
-                    }
-                }
-                Stage::Buffered => {
-                    buffered.get_or_insert(ev.time_ns);
-                }
-                Stage::Played => {
-                    if let Some(t0) = buffered {
-                        samples.residency_ns.push((ev.time_ns - t0) as f64);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let born = dump
-            .origins
-            .get(tl.span as usize)
-            .map(|o| o.time_ns)
-            .unwrap_or(0);
-        let end = buffered.or_else(|| tl.first_time(|s| s == Stage::Delivered));
-        if let Some(end) = end {
-            samples.e2e_ns.push((end - born) as f64);
-        }
-    }
-    samples
+    dump.span_view().stage_samples()
 }
 
 /// Build the per-stage latency sketches into a fresh
@@ -810,11 +974,9 @@ pub fn to_chrome_trace(dump: &LineageDump) -> String {
     out.push_str(
         "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"turbulence packet lineage\"}}",
     );
-    for tl in dump.reconstruct() {
-        let meta = dump
-            .origins
-            .get(tl.span as usize)
-            .and_then(|o| o.meta)
+    for tl in dump.span_view().spans() {
+        let meta = dump.origins[tl.span as usize]
+            .meta
             .map(|m| {
                 format!(
                     ",\"player\":{},\"seq\":{},\"media_ms\":{}",
@@ -822,7 +984,9 @@ pub fn to_chrome_trace(dump: &LineageDump) -> String {
                 )
             })
             .unwrap_or_default();
-        for (i, ev) in tl.events.iter().enumerate() {
+        let outcome = tl.outcome().label();
+        let mut events = tl.events().enumerate().peekable();
+        while let Some((i, ev)) = events.next() {
             let comp = json_escape(dump.component(ev.comp));
             let args = format!(
                 "{{\"comp\":\"{}\",\"aux\":{}{}}}",
@@ -834,8 +998,8 @@ pub fn to_chrome_trace(dump: &LineageDump) -> String {
                 Stage::Dropped(cause) => format!("dropped:{}", cause.label()),
                 stage => stage.label().to_string(),
             };
-            match tl.events.get(i + 1) {
-                Some(next) => {
+            match events.peek() {
+                Some((_, next)) => {
                     let _ = write!(
                         out,
                         ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{}\",\"cat\":\"{}\",\"args\":{}}}",
@@ -843,7 +1007,7 @@ pub fn to_chrome_trace(dump: &LineageDump) -> String {
                         ts_us(ev.time_ns),
                         ts_us(next.time_ns - ev.time_ns),
                         name,
-                        tl.outcome.label(),
+                        outcome,
                         args,
                     );
                 }
@@ -854,7 +1018,7 @@ pub fn to_chrome_trace(dump: &LineageDump) -> String {
                         tl.span + 1,
                         ts_us(ev.time_ns),
                         name,
-                        tl.outcome.label(),
+                        outcome,
                         args,
                     );
                 }
@@ -912,15 +1076,16 @@ mod tests {
     #[test]
     fn reconstruction_classifies_outcomes() {
         let dump = sample_dump();
-        let timelines = dump.reconstruct();
-        assert_eq!(timelines.len(), 3);
-        assert_eq!(timelines[0].outcome, SpanOutcome::Played);
+        let view = dump.span_view();
+        assert_eq!(view.len(), 3);
+        assert_eq!(view.span(0).outcome(), SpanOutcome::Played);
         assert_eq!(
-            timelines[1].outcome,
+            view.span(1).outcome(),
             SpanOutcome::Dropped(DropCause::QueueFull)
         );
-        assert_eq!(timelines[2].outcome, SpanOutcome::Truncated);
-        assert_eq!(timelines[0].hops(), 1);
+        assert_eq!(view.span(2).outcome(), SpanOutcome::Truncated);
+        assert_eq!(view.span(0).hops(), 1);
+        assert_eq!(view.span(0).events().count(), 7);
         assert_eq!(dump.outcome_counts(), (1, 0, 1, 1));
         dump.validate().expect("sample dump is well-formed");
     }
@@ -933,7 +1098,7 @@ mod tests {
         let span = rec.begin_span(0, node, None, 8);
         rec.record(span, 10, node, Stage::Delivered, 554);
         let dump = rec.finish(&interner);
-        assert_eq!(dump.reconstruct()[0].outcome, SpanOutcome::Completed);
+        assert_eq!(dump.span_view().span(0).outcome(), SpanOutcome::Completed);
     }
 
     #[test]
@@ -945,7 +1110,7 @@ mod tests {
         rec.record(span, 5, node, Stage::Dropped(DropCause::ReasmDuplicate), 0);
         rec.record(span, 9, node, Stage::Delivered, 7000);
         let dump = rec.finish(&interner);
-        assert_eq!(dump.reconstruct()[0].outcome, SpanOutcome::Completed);
+        assert_eq!(dump.span_view().span(0).outcome(), SpanOutcome::Completed);
         // The duplicate still shows up in the post-mortem.
         assert_eq!(post_mortem(&dump).cause_total(DropCause::ReasmDuplicate), 1);
     }

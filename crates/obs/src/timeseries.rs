@@ -18,14 +18,17 @@
 //! newest window; there is no reordering and no timer.
 //!
 //! Series keys are `(&'static str, SymbolId)` pairs against the shared
-//! [`Interner`], so the per-event cost is a hash lookup and an integer
-//! add — no allocation once a series exists. [`TimeSeriesRecorder::finish`]
-//! resolves the symbols into a self-contained [`SeriesDump`] that can
-//! be exported (JSONL/CSV), merged across runs, and rendered by
-//! `turbulence watch`.
+//! [`Interner`]. The recorder indexes a table by the `SymbolId`, and
+//! each component's entry lists its few `(name, series)` pairs, so the
+//! per-event cost is a short scan comparing static names, a range check
+//! of the sample time against the cached `[lo, hi)` bounds of the
+//! current window (a divide only when time crosses into a new window)
+//! and an integer add — no hashing, and no allocation once a series
+//! exists. [`TimeSeriesRecorder::finish`] resolves the symbols into a
+//! self-contained [`SeriesDump`] that can be exported (JSONL/CSV),
+//! merged across runs, and rendered by `turbulence watch`.
 
 use crate::intern::{Interner, SymbolId};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
@@ -80,7 +83,14 @@ pub struct TimeSeriesRecorder {
     window_ns: u64,
     capacity: usize,
     series: Vec<SeriesBuf>,
-    index: HashMap<(&'static str, SymbolId), u32>,
+    /// Indexed by `SymbolId`: the `(name, index into series)` pairs
+    /// recorded against that component.
+    by_comp: Vec<Vec<(&'static str, u32)>>,
+    /// The window the last sample fell in, and its simulated-time
+    /// bounds `[lo, hi)`.
+    window: u64,
+    lo: u64,
+    hi: u64,
 }
 
 impl TimeSeriesRecorder {
@@ -92,15 +102,19 @@ impl TimeSeriesRecorder {
 
     /// A recorder with an explicit per-series ring capacity.
     pub fn with_capacity(window_ns: u64, capacity: usize) -> TimeSeriesRecorder {
+        let window_ns = if window_ns == 0 {
+            DEFAULT_WINDOW_NS
+        } else {
+            window_ns
+        };
         TimeSeriesRecorder {
-            window_ns: if window_ns == 0 {
-                DEFAULT_WINDOW_NS
-            } else {
-                window_ns
-            },
+            window_ns,
             capacity: capacity.max(1),
             series: Vec::new(),
-            index: HashMap::new(),
+            by_comp: Vec::new(),
+            window: 0,
+            lo: 0,
+            hi: window_ns,
         }
     }
 
@@ -144,26 +158,15 @@ impl TimeSeriesRecorder {
         comp: SymbolId,
         value: u64,
     ) {
-        let idx = match self.index.get(&(name, comp)) {
-            Some(&i) => i as usize,
-            None => {
-                let i = self.series.len();
-                self.series.push(SeriesBuf {
-                    name,
-                    comp,
-                    kind,
-                    first_window: 0,
-                    values: VecDeque::new(),
-                    evicted: 0,
-                    total: 0,
-                });
-                self.index.insert((name, comp), i as u32);
-                i
-            }
-        };
+        let idx = self.series_index(kind, name, comp);
+        if time_ns < self.lo || time_ns >= self.hi {
+            self.window = time_ns / self.window_ns;
+            self.lo = self.window * self.window_ns;
+            self.hi = self.lo.saturating_add(self.window_ns);
+        }
+        let w = self.window;
         let s = &mut self.series[idx];
         debug_assert_eq!(s.kind, kind, "series {name} recorded with mixed kinds");
-        let w = time_ns / self.window_ns;
         if s.values.is_empty() {
             s.first_window = w;
             s.values.push_back(value);
@@ -194,6 +197,35 @@ impl TimeSeriesRecorder {
             s.first_window += 1;
             s.evicted += 1;
         }
+    }
+
+    /// The index of series `(name, comp)`, opened as `kind` on first
+    /// use. Names compare by content; the pointer test only skips the
+    /// byte comparison when both sides are the same literal.
+    fn series_index(&mut self, kind: SeriesKind, name: &'static str, comp: SymbolId) -> usize {
+        let c = comp.index();
+        if let Some(pairs) = self.by_comp.get(c) {
+            for &(n, i) in pairs {
+                if std::ptr::eq(n, name) || n == name {
+                    return i as usize;
+                }
+            }
+        }
+        let i = self.series.len();
+        self.series.push(SeriesBuf {
+            name,
+            comp,
+            kind,
+            first_window: 0,
+            values: VecDeque::new(),
+            evicted: 0,
+            total: 0,
+        });
+        if c >= self.by_comp.len() {
+            self.by_comp.resize_with(c + 1, Vec::new);
+        }
+        self.by_comp[c].push((name, i as u32));
+        i
     }
 
     /// Resolve the symbols through `interner` and snapshot every
